@@ -260,12 +260,10 @@ impl SweepCheckpoint {
 /// checkpoint already holds every completed cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChunkControl {
-    /// Run the next chunk under the given engine budgets and
-    /// intra-scenario parallelism mode.
+    /// Run the next chunk under the given engine budgets.
     Proceed {
         event_budget: Option<u64>,
         time_budget_s: Option<f64>,
-        parallelism: dpml_engine::Parallelism,
     },
     /// Stop before the next chunk (cancellation, deadline, shutdown).
     Stop,
@@ -311,11 +309,9 @@ pub fn run_allreduce_checkpointed(
             ChunkControl::Proceed {
                 event_budget,
                 time_budget_s,
-                parallelism,
             } => crate::run::RunOpts {
                 event_budget,
                 time_budget_s,
-                parallelism,
             },
         };
         let start = ckpt.next_index as usize;
@@ -373,7 +369,6 @@ mod tests {
                 _ => ChunkControl::Proceed {
                     event_budget: None,
                     time_budget_s: Some(10.0),
-                    parallelism: dpml_engine::Parallelism::Serial,
                 },
             },
             |_| {},
@@ -413,7 +408,6 @@ mod tests {
                 |_| ChunkControl::Proceed {
                     event_budget: None,
                     time_budget_s: Some(10.0),
-                    parallelism: dpml_engine::Parallelism::Intra(2),
                 },
                 |_| executed += 1,
             );
@@ -470,7 +464,6 @@ mod tests {
             |_| ChunkControl::Proceed {
                 event_budget: Some(3),
                 time_budget_s: None,
-                parallelism: dpml_engine::Parallelism::Serial,
             },
             |_| {},
         );

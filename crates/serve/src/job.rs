@@ -10,8 +10,7 @@
 
 use dpml_core::algorithms::Algorithm;
 use dpml_core::checkpoint::{run_allreduce_checkpointed, ChunkControl, SweepCheckpoint, SweepEnd};
-use dpml_core::profile::profile_allreduce_with;
-use dpml_core::Parallelism;
+use dpml_core::profile::profile_allreduce;
 use dpml_fabric::Preset;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -70,12 +69,6 @@ pub struct JobSpec {
     /// (exercises the catch_unwind / respawn / retry path end to end).
     #[serde(default)]
     pub panic_attempts: u32,
-    /// Intra-scenario parallelism mode for the engine. An *execution*
-    /// knob like `deadline_ms`: the frontier scheduler is bit-identical
-    /// to serial (DESIGN.md §16), so it is deliberately excluded from
-    /// the content digest and a parallel run hits the same cache line.
-    #[serde(default)]
-    pub parallelism: Parallelism,
 }
 
 impl JobSpec {
@@ -376,7 +369,7 @@ pub fn execute(spec: &JobSpec, ctx: &JobCtx, attempt: u32) -> JobOutcome {
 
     if spec.kind == JobKind::Profile {
         let (alg, bytes) = scenarios[0];
-        return match profile_allreduce_with(&preset, &cluster, alg, bytes, spec.parallelism) {
+        return match profile_allreduce(&preset, &cluster, alg, bytes) {
             Ok(run) => JobOutcome::Done(JobResult {
                 digest: spec.digest(),
                 scenarios: vec![ScenarioResult {
@@ -454,7 +447,6 @@ pub fn execute(spec: &JobSpec, ctx: &JobCtx, attempt: u32) -> JobOutcome {
             ChunkControl::Proceed {
                 event_budget,
                 time_budget_s,
-                parallelism: spec.parallelism,
             }
         },
         |ck| {
@@ -540,7 +532,6 @@ mod tests {
             sizes: vec![65536],
             deadline_ms: 0,
             panic_attempts: 0,
-            parallelism: Parallelism::Serial,
         }
     }
 
@@ -550,7 +541,6 @@ mod tests {
         let mut with_deadline = base.clone();
         with_deadline.deadline_ms = 500;
         with_deadline.panic_attempts = 2;
-        with_deadline.parallelism = Parallelism::Intra(4);
         assert_eq!(base.digest(), with_deadline.digest());
 
         let mut other_size = base.clone();
@@ -562,6 +552,24 @@ mod tests {
         let mut other_kind = base.clone();
         other_kind.kind = JobKind::Sweep;
         assert_ne!(base.digest(), other_kind.digest());
+    }
+
+    /// Journals and wire specs written while `JobSpec` still carried a
+    /// `parallelism` execution knob must keep replaying: the key is
+    /// ignored and hits the same cache line as a spec without it.
+    #[test]
+    fn legacy_parallelism_key_is_ignored() {
+        let base = sim_spec();
+        let json = serde_json::to_string(&base).unwrap();
+        assert!(!json.contains("parallelism"));
+        for legacy in [r#""parallelism":{"Intra":4}"#, r#""parallelism":"Auto""#] {
+            let old = format!("{},{legacy}}}", json.strip_suffix('}').unwrap());
+            let spec: JobSpec = serde_json::from_str(&old)
+                .unwrap_or_else(|e| panic!("{legacy} must deserialize: {e}"));
+            spec.validate().unwrap();
+            assert_eq!(spec, base, "{legacy}");
+            assert_eq!(spec.digest(), base.digest(), "{legacy}");
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! `scripts/perf_check.py`).
 //!
 //! Usage: `perf [--quick] [--nodes N] [--ppn P] [--reps R] [--no-flight] [--out NAME]`
-//!   --quick      CI matrix: 8×8 shape (seconds, not minutes)
+//!   --quick      CI matrix: 8×8 shape (seconds, not minutes) plus one
+//!                paper-shaped DPML point, Cluster B 64×28 `dpml:16` 64 KB
 //!   --reps       simulate each point R times, report the best (default 3
 //!                in quick mode, 1 otherwise) — damps scheduler noise on
 //!                loaded CI machines
@@ -116,17 +117,28 @@ fn main() {
 
     // Build the matrix; each point is an independent scenario for the
     // parallel sweep runner (pure — no RNG stream needed).
-    let mut matrix: Vec<(String, Preset, Algorithm, u64)> = Vec::new();
+    let mut matrix: Vec<(String, Preset, Algorithm, u64, u32, u32)> = Vec::new();
     for (tag, preset) in clusters() {
         for alg in algorithms(ppn) {
             for &bytes in &sizes {
-                matrix.push((tag.to_string(), preset.clone(), alg, bytes));
+                matrix.push((tag.to_string(), preset.clone(), alg, bytes, nodes, ppn));
             }
         }
     }
+    if quick {
+        // One paper-shaped point: Cluster B at 64 nodes × 28 ranks,
+        // `dpml:16` on 64 KB (~170k events). At 8×8 only `ring` clears
+        // the gate's event floor, so without it no DPML point — none of
+        // the intra-node copy/reduce path DPML lives on — is gated.
+        let alg = Algorithm::Dpml {
+            leaders: 16,
+            inner: FlatAlg::RecursiveDoubling,
+        };
+        matrix.push(("b".into(), presets::cluster_b(), alg, 65536, 64, 28));
+    }
 
     let t0 = Instant::now();
-    let points: Vec<Point> = sweep(matrix, |(tag, preset, alg, bytes)| {
+    let points: Vec<Point> = sweep(matrix, |(tag, preset, alg, bytes, nodes, ppn)| {
         let spec = preset
             .spec(nodes, ppn)
             .unwrap_or_else(|e| panic!("cluster {tag} {nodes}x{ppn}: {e}"));
@@ -161,14 +173,23 @@ fn main() {
     let total_wall_s = t0.elapsed().as_secs_f64();
 
     let mut table = Table::new(
-        ["cluster", "algorithm", "size", "events", "wall", "events/s"]
-            .iter()
-            .map(|s| s.to_string()),
+        [
+            "cluster",
+            "algorithm",
+            "shape",
+            "size",
+            "events",
+            "wall",
+            "events/s",
+        ]
+        .iter()
+        .map(|s| s.to_string()),
     );
     for p in &points {
         table.row(vec![
             p.cluster.clone(),
             p.algorithm.clone(),
+            format!("{}x{}", p.nodes, p.ppn),
             fmt_bytes(p.bytes),
             p.events.to_string(),
             format!("{:.3}s", p.wall_s),

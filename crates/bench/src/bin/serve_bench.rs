@@ -57,7 +57,7 @@ struct ThroughputReport {
     cache_hits: u64,
     cache_hit_rate: f64,
     shed_then_retried: u64,
-    server_job_ms_p99: u64,
+    server_job_us_p99: u64,
 }
 
 #[derive(Serialize)]
@@ -311,7 +311,7 @@ fn throughput_phase(
             cache_hits: hits,
             cache_hit_rate: hits as f64 / total as f64,
             shed_then_retried: shed,
-            server_job_ms_p99: 0, // filled from stats by the caller
+            server_job_us_p99: 0, // filled from stats by the caller
         },
         shed,
     )
@@ -614,10 +614,10 @@ fn main() {
     ctl.set_timeout(Some(Duration::from_secs(60)))
         .expect("timeout");
     let stats = ctl.stats().expect("stats");
-    throughput.server_job_ms_p99 = stats
+    throughput.server_job_us_p99 = stats
         .histograms
         .iter()
-        .find(|h| h.name == "serve.job_ms")
+        .find(|h| h.name == "serve.job_us")
         .map(|h| h.p99)
         .unwrap_or(0);
     ctl.shutdown().expect("drain");

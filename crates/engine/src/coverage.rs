@@ -10,18 +10,54 @@
 //! double-reduced segment — surface as verification failures rather than
 //! silently producing plausible timings.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
+use std::sync::Arc;
 
 /// A set of ranks, as a bitset.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+///
+/// The words are shared: cloning a set — which every coverage-map
+/// snapshot, copy and coalesce does per segment — bumps a reference count
+/// instead of copying the bitset. Sets are immutable once shared; `insert`
+/// and `union_with` build a fresh word array only when the result differs
+/// from both inputs.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RankSet {
-    words: Vec<u64>,
+    words: Arc<[u64]>,
+}
+
+/// The serialized form, `{"words":[…]}`: named like the public type so
+/// deserialization errors read the same.
+mod wire {
+    #[derive(serde::Serialize, serde::Deserialize)]
+    pub struct RankSet {
+        pub words: Vec<u64>,
+    }
+}
+
+impl Serialize for RankSet {
+    fn to_value(&self) -> Value {
+        wire::RankSet {
+            words: self.words.to_vec(),
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for RankSet {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let w = wire::RankSet::from_value(v)?;
+        Ok(RankSet {
+            words: w.words.into(),
+        })
+    }
 }
 
 impl RankSet {
     /// The empty set.
     pub fn empty() -> Self {
-        RankSet { words: Vec::new() }
+        RankSet {
+            words: Arc::new([]),
+        }
     }
 
     /// A singleton set.
@@ -33,20 +69,29 @@ impl RankSet {
 
     /// The full set `{0, ..., p-1}`.
     pub fn full(p: u32) -> Self {
-        let mut s = RankSet::empty();
-        for r in 0..p {
-            s.insert(r);
+        let words = (0..p.div_ceil(64)).map(|w| {
+            let bits = (p - 64 * w).min(64);
+            u64::MAX >> (64 - bits)
+        });
+        RankSet {
+            words: words.collect(),
         }
-        s
     }
 
     /// Insert a rank.
     pub fn insert(&mut self, rank: u32) {
         let w = (rank / 64) as usize;
-        if self.words.len() <= w {
-            self.words.resize(w + 1, 0);
+        let bit = 1u64 << (rank % 64);
+        if let Some(words) = Arc::get_mut(&mut self.words).filter(|ws| w < ws.len()) {
+            words[w] |= bit;
+            return;
         }
-        self.words[w] |= 1u64 << (rank % 64);
+        // Collecting from an exact-length iterator builds the shared
+        // array in one allocation.
+        let old = &self.words;
+        let words = (0..old.len().max(w + 1))
+            .map(|i| old.get(i).copied().unwrap_or(0) | if i == w { bit } else { 0 });
+        self.words = words.collect();
     }
 
     /// Membership test.
@@ -57,14 +102,39 @@ impl RankSet {
             .is_some_and(|&word| word & (1u64 << (rank % 64)) != 0)
     }
 
-    /// In-place union.
+    /// True when every member of `self` is in `other` and `self` is no
+    /// wider — so `other`'s words are exactly `self ∪ other`.
+    fn within(&self, other: &RankSet) -> bool {
+        self.words.len() <= other.words.len()
+            && self
+                .words
+                .iter()
+                .zip(other.words.iter())
+                .all(|(a, b)| a & !b == 0)
+    }
+
+    /// In-place union. The result's words are `max(len)` wide, as if
+    /// or-ed word by word; when one operand already is that result (the
+    /// same shared words, or a superset at least as wide) no new array is
+    /// built.
     pub fn union_with(&mut self, other: &RankSet) {
-        if self.words.len() < other.words.len() {
-            self.words.resize(other.words.len(), 0);
+        if Arc::ptr_eq(&self.words, &other.words) || other.within(self) {
+            return;
         }
-        for (a, b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= b;
+        if self.within(other) {
+            self.words = other.words.clone();
+            return;
         }
+        let (long, short) = if self.words.len() >= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        let words = long
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| w | short.get(i).copied().unwrap_or(0));
+        self.words = words.collect();
     }
 
     /// Set cardinality.
@@ -85,11 +155,14 @@ impl RankSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Semantic equality (ignores trailing zero words). Allocation-free:
-    /// compares the common word prefix and requires the longer set's tail
-    /// to be all zero — this sits inside every coalesce step on the
-    /// simulator's delivery hot path.
+    /// Semantic equality (ignores trailing zero words). Allocation-free,
+    /// and O(1) for sets sharing their words — this sits inside every
+    /// coalesce step on the simulator's delivery hot path, where equal
+    /// neighbors are usually clones of one set.
     pub fn set_eq(&self, other: &RankSet) -> bool {
+        if Arc::ptr_eq(&self.words, &other.words) {
+            return true;
+        }
         let n = self.words.len().min(other.words.len());
         self.words[..n] == other.words[..n]
             && self.words[n..].iter().all(|&w| w == 0)
@@ -164,6 +237,26 @@ impl CoverageMap {
         self.segs.partition_point(|seg| seg.0 < end)
     }
 
+    /// The segments overlapping `[start, end)`, unclipped.
+    fn overlapping(&self, start: u64, end: u64) -> &[(u64, u64, RankSet)] {
+        if start >= end {
+            return &[];
+        }
+        &self.segs[self.lower(start)..self.upper(end)]
+    }
+
+    /// The segments overlapping `[start, end)`, clipped to it — a view of
+    /// the window, read in place.
+    fn window(
+        &self,
+        start: u64,
+        end: u64,
+    ) -> impl ExactSizeIterator<Item = (u64, u64, &RankSet)> + '_ {
+        self.overlapping(start, end)
+            .iter()
+            .map(move |(s, e, set)| ((*s).max(start), (*e).min(end), set))
+    }
+
     /// The rank set held at byte offset `at`, if any.
     pub fn at(&self, at: u64) -> Option<&RankSet> {
         let i = self.lower(at);
@@ -175,45 +268,44 @@ impl CoverageMap {
 
     /// Extract the sub-map covering `[start, end)`.
     pub fn restrict(&self, start: u64, end: u64) -> CoverageMap {
-        if start >= end {
-            return CoverageMap::empty();
+        CoverageMap {
+            segs: self
+                .window(start, end)
+                .map(|(s, e, set)| (s, e, set.clone()))
+                .collect(),
         }
-        let (i, j) = (self.lower(start), self.upper(end));
-        let mut out = Vec::with_capacity(j.saturating_sub(i));
-        for (s, e, set) in &self.segs[i..j] {
-            out.push(((*s).max(start), (*e).min(end), set.clone()));
-        }
-        CoverageMap { segs: out }
     }
 
     /// Replace all coverage in `[start, end)` with `mid` — segments that
     /// must already lie within `[start, end)`, sorted, disjoint, and
-    /// internally coalesced. Splices only the overlap window; boundary
-    /// segments are split and the two joints re-coalesced, so cost is
-    /// O(window + log n) rather than a full-map rebuild.
-    fn splice_window(&mut self, start: u64, end: u64, mid: Vec<(u64, u64, RankSet)>) {
+    /// internally coalesced. Splices only the overlap window in place;
+    /// boundary segments are split and the (at most four) joints the
+    /// splice creates re-coalesced, so cost is O(window + log n) with no
+    /// intermediate buffer.
+    fn splice_window<I>(&mut self, start: u64, end: u64, mid: I)
+    where
+        I: ExactSizeIterator<Item = (u64, u64, RankSet)>,
+    {
         let (i, j) = (self.lower(start), self.upper(end));
-        let mut repl: Vec<(u64, u64, RankSet)> = Vec::with_capacity(mid.len() + 2);
-        if i < j && self.segs[i].0 < start {
-            repl.push((self.segs[i].0, start, self.segs[i].2.clone()));
-        }
-        for seg in mid {
-            push_coalesced(&mut repl, seg);
-        }
-        if i < j && self.segs[j - 1].1 > end {
-            push_coalesced(
-                &mut repl,
-                (end, self.segs[j - 1].1, self.segs[j - 1].2.clone()),
-            );
-        }
-        let len = repl.len();
-        self.segs.splice(i..j, repl);
-        // Re-coalesce the joints with the untouched neighbors: first the
-        // right joint (higher index, so the left joint's indices survive a
-        // merge), then the left.
-        let right = i + len;
-        if right > 0 {
-            self.merge_joint(right - 1);
+        let left = (i < j && self.segs[i].0 < start)
+            .then(|| (self.segs[i].0, start, self.segs[i].2.clone()));
+        let right = (i < j && self.segs[j - 1].1 > end)
+            .then(|| (end, self.segs[j - 1].1, self.segs[j - 1].2.clone()));
+        let len = left.is_some() as usize + mid.len() + right.is_some() as usize;
+        let has_left = left.is_some();
+        self.segs
+            .splice(i..j, left.into_iter().chain(mid).chain(right));
+        // Re-coalesce from the highest joint down, so a merge never
+        // shifts a joint still to be checked: the right neighbor, then
+        // inside the splice (its two ends), then the left neighbor.
+        if len > 0 {
+            self.merge_joint(i + len - 1);
+            if len > 1 {
+                self.merge_joint(i + len - 2);
+            }
+            if has_left {
+                self.merge_joint(i);
+            }
         }
         if i > 0 {
             self.merge_joint(i - 1);
@@ -221,8 +313,8 @@ impl CoverageMap {
         self.assert_invariants();
     }
 
-    /// Merge `segs[idx]` into `segs[idx + 1]`'s slot when they are
-    /// adjacent and hold the same set.
+    /// Merge `segs[idx + 1]` into `segs[idx]` when they are adjacent and
+    /// hold the same set.
     fn merge_joint(&mut self, idx: usize) {
         if idx + 1 < self.segs.len()
             && self.segs[idx].1 == self.segs[idx + 1].0
@@ -238,78 +330,66 @@ impl CoverageMap {
         if start >= end {
             return;
         }
-        self.splice_window(start, end, Vec::new());
+        self.splice_window(start, end, std::iter::empty());
     }
 
     /// Overwrite `[start, end)` with `src`'s contents over the same range
     /// (bytes `src` does not cover become uncovered). This is the semantics
     /// of a plain copy or a received message: payload *replaces* buffer
-    /// content.
+    /// content. `src`'s window is read in place.
     pub fn overwrite(&mut self, src: &CoverageMap, start: u64, end: u64) {
         if start >= end {
             return;
         }
-        let add = src.restrict(start, end);
-        self.splice_window(start, end, add.segs);
+        let add = src
+            .window(start, end)
+            .map(|(s, e, set)| (s, e, set.clone()));
+        self.splice_window(start, end, add);
     }
 
     /// Pointwise-union `src`'s contents over `[start, end)` into this map —
-    /// the semantics of a reduction: contributions combine.
+    /// the semantics of a reduction: contributions combine. `src`'s window
+    /// is read in place.
     pub fn union_merge(&mut self, src: &CoverageMap, start: u64, end: u64) {
-        let add = src.restrict(start, end);
-        if add.is_empty() {
+        let add = src.overlapping(start, end);
+        let (Some(first), Some(last)) = (add.first(), add.last()) else {
             return;
-        }
-        // Sweep the cut points of both maps across the window `add` spans
-        // (outside it the union changes nothing), advancing a cursor into
-        // each segment list — O(window), no per-cut linear scans.
-        let lo = add.segs.first().unwrap().0;
-        let hi = add.segs.last().unwrap().1;
-        let (i0, j0) = (self.lower(lo), self.upper(hi));
-        let mine = &self.segs[i0..j0];
-        let mut cuts: Vec<u64> = Vec::with_capacity((mine.len() + add.segs.len()) * 2);
-        for (s, e, _) in mine {
-            cuts.push((*s).max(lo));
-            cuts.push((*e).min(hi));
-        }
-        for (s, e, _) in &add.segs {
-            cuts.push(*s);
-            cuts.push(*e);
-        }
-        cuts.sort_unstable();
-        cuts.dedup();
-        let mut rebuilt: Vec<(u64, u64, RankSet)> = Vec::with_capacity(cuts.len());
+        };
+        // Sweep both maps across the window `add` spans (outside it the
+        // union changes nothing), advancing a cursor into each segment
+        // list and cutting at the next boundary of either — O(window).
+        let lo = first.0.max(start);
+        let hi = last.1.min(end);
+        let mine = self.overlapping(lo, hi);
+        let mut rebuilt: Vec<(u64, u64, RankSet)> = Vec::with_capacity(mine.len() + add.len() + 1);
         let (mut ai, mut bi) = (0usize, 0usize);
-        for w in cuts.windows(2) {
-            let (s, e) = (w[0], w[1]);
-            while ai < mine.len() && mine[ai].1 <= s {
+        let mut pos = lo;
+        while pos < hi {
+            while ai < mine.len() && mine[ai].1 <= pos {
                 ai += 1;
             }
-            while bi < add.segs.len() && add.segs[bi].1 <= s {
+            while bi < add.len() && add[bi].1.min(hi) <= pos {
                 bi += 1;
             }
-            let a = mine
-                .get(ai)
-                .filter(|(ms, _, _)| *ms <= s)
-                .map(|(_, _, r)| r);
-            let b = add
-                .segs
-                .get(bi)
-                .filter(|(bs, _, _)| *bs <= s)
-                .map(|(_, _, r)| r);
+            let (a, a_next) = piece_at(mine.get(ai), pos, hi);
+            let (b, b_next) = piece_at(add.get(bi), pos, hi);
+            let next = a_next.min(b_next).min(hi);
             let set = match (a, b) {
-                (None, None) => continue,
-                (Some(x), None) => x.clone(),
-                (None, Some(y)) => y.clone(),
+                (None, None) => None,
+                (Some(x), None) => Some(x.clone()),
+                (None, Some(y)) => Some(y.clone()),
                 (Some(x), Some(y)) => {
                     let mut u = x.clone();
                     u.union_with(y);
-                    u
+                    Some(u)
                 }
             };
-            push_coalesced(&mut rebuilt, (s, e, set));
+            if let Some(set) = set {
+                push_coalesced(&mut rebuilt, (pos, next, set));
+            }
+            pos = next;
         }
-        self.splice_window(lo, hi, rebuilt);
+        self.splice_window(lo, hi, rebuilt.into_iter());
     }
 
     /// True when `[start, end)` is fully covered and every byte holds
@@ -349,6 +429,17 @@ impl CoverageMap {
     /// Iterate over `(start, end, set)` segments.
     pub fn segments(&self) -> impl Iterator<Item = (u64, u64, &RankSet)> {
         self.segs.iter().map(|(s, e, set)| (*s, *e, set))
+    }
+}
+
+/// A sweep cursor's view of `seg` at `pos`: the set it holds there (if
+/// it covers `pos`) and the offset where that view next changes.
+#[inline]
+fn piece_at(seg: Option<&(u64, u64, RankSet)>, pos: u64, hi: u64) -> (Option<&RankSet>, u64) {
+    match seg {
+        Some((s, e, set)) if *s <= pos => (Some(set), *e),
+        Some((s, _, _)) => (None, *s),
+        None => (None, hi),
     }
 }
 
@@ -503,6 +594,33 @@ mod tests {
         assert!(acc.covers_exactly(0, n, &RankSet::full(p)));
     }
 
+    /// Reports, checkpoints and healing continuations persist coverage
+    /// as JSON; the shared-word representation must not change it.
+    #[test]
+    fn json_form_is_pinned() {
+        let mut wide = RankSet::singleton(0);
+        wide.insert(64);
+        let cases = [
+            (RankSet::empty(), r#"{"words":[]}"#),
+            (RankSet::singleton(3), r#"{"words":[8]}"#),
+            (wide, r#"{"words":[1,1]}"#),
+        ];
+        for (set, json) in cases {
+            assert_eq!(serde_json::to_string(&set).unwrap(), json);
+            assert_eq!(serde_json::from_str::<RankSet>(json).unwrap(), set);
+        }
+        let mut m = CoverageMap::singleton(0, 0, 100);
+        m.union_merge(&CoverageMap::singleton(1, 50, 150), 0, 150);
+        let json =
+            r#"{"segs":[[0,50,{"words":[1]}],[50,100,{"words":[3]}],[100,150,{"words":[2]}]]}"#;
+        assert_eq!(serde_json::to_string(&m).unwrap(), json);
+        assert_eq!(serde_json::from_str::<CoverageMap>(json).unwrap(), m);
+        assert!(serde_json::from_str::<RankSet>(r#"{"bits":[1]}"#)
+            .unwrap_err()
+            .to_string()
+            .contains("RankSet"));
+    }
+
     /// Naive per-byte reference model for property tests.
     #[derive(Clone, PartialEq, Debug)]
     struct NaiveMap {
@@ -550,6 +668,15 @@ mod tests {
         }
     }
 
+    /// The canonical-form invariant: sorted, non-empty, disjoint, and no
+    /// two adjacent segments holding equal sets.
+    fn is_canonical(m: &CoverageMap) -> bool {
+        m.segs.iter().all(|(s, e, _)| s < e)
+            && m.segs
+                .windows(2)
+                .all(|w| w[0].1 < w[1].0 || (w[0].1 == w[1].0 && !w[0].2.set_eq(&w[1].2)))
+    }
+
     use proptest::prelude::*;
 
     const N: u64 = 48;
@@ -587,16 +714,87 @@ mod tests {
         }
 
         #[test]
-        fn prop_segments_stay_canonical(a in arb_map(), b in arb_map()) {
+        fn prop_segments_stay_canonical(a in arb_map(), b in arb_map(), x in 0u64..N, y in 0u64..N) {
+            let (s, e) = if x <= y { (x, y) } else { (y, x) };
             let mut m = a.clone();
             m.union_merge(&b, 0, N);
-            let segs: Vec<_> = m.segments().map(|(s, e, _)| (s, e)).collect();
-            for w in segs.windows(2) {
-                prop_assert!(w[0].1 <= w[1].0, "overlap: {:?}", segs);
+            prop_assert!(is_canonical(&m), "{m:?}");
+            m.overwrite(&a, s, e);
+            prop_assert!(is_canonical(&m), "{m:?}");
+            m.clear_range(e, N);
+            prop_assert!(is_canonical(&m), "{m:?}");
+        }
+
+        /// The engine's `Reduce` folds every source straight out of its
+        /// buffer into one accumulator, then unions that into the
+        /// destination — it must agree with the per-byte model.
+        #[test]
+        fn prop_nary_reduce_from_references_matches_naive(
+            dst in arb_map(),
+            srcs in proptest::collection::vec(arb_map(), 1..5),
+            x in 0u64..N,
+            y in 0u64..N,
+        ) {
+            let (s, e) = if x <= y { (x, y) } else { (y, x) };
+            let mut acc = CoverageMap::empty();
+            for src in &srcs {
+                acc.union_merge(src, s, e);
             }
-            for (s, e) in &segs {
-                prop_assert!(s < e);
+            let mut out = dst.clone();
+            out.union_merge(&acc, s, e);
+            let mut slow_acc = NaiveMap::new(N);
+            for src in &srcs {
+                slow_acc.union_merge(&NaiveMap::from_cov(src, N), s, e);
             }
+            let mut slow_out = NaiveMap::from_cov(&dst, N);
+            slow_out.union_merge(&slow_acc, s, e);
+            prop_assert!(NaiveMap::from_cov(&acc, N).semantically_eq(&slow_acc));
+            prop_assert!(NaiveMap::from_cov(&out, N).semantically_eq(&slow_out));
+            prop_assert!(is_canonical(&acc) && is_canonical(&out));
+        }
+
+        /// `union_with` and `set_eq` against a word-by-word model, over
+        /// sets of random width (trailing zero words included) and the
+        /// sharing cases the fast paths take: aliased words, a subset, a
+        /// superset.
+        #[test]
+        fn prop_rankset_union_and_eq_match_words(
+            a in proptest::collection::vec(0u64..8, 0..4),
+            b in proptest::collection::vec(0u64..8, 0..4),
+            drop in 0u64..8,
+        ) {
+            let set = |w: &[u64]| RankSet { words: w.into() };
+            let or = |x: &[u64], y: &[u64]| -> Vec<u64> {
+                (0..x.len().max(y.len()))
+                    .map(|i| x.get(i).unwrap_or(&0) | y.get(i).unwrap_or(&0))
+                    .collect()
+            };
+            let members = |w: &[u64]| set(w).iter().collect::<Vec<u32>>();
+            // Arbitrary pair.
+            let mut u = set(&a);
+            u.union_with(&set(&b));
+            prop_assert_eq!(&u.words[..], &or(&a, &b)[..]);
+            prop_assert_eq!(set(&a).set_eq(&set(&b)), members(&a) == members(&b));
+            prop_assert_eq!(set(&b).set_eq(&set(&a)), members(&a) == members(&b));
+            // Aliased: the union is the set itself, sharing its words.
+            let base = set(&a);
+            let mut alias = base.clone();
+            alias.union_with(&base);
+            prop_assert!(Arc::ptr_eq(&alias.words, &base.words));
+            prop_assert!(alias.set_eq(&base));
+            // Subset, no wider: nothing is rebuilt.
+            let sub: Vec<u64> = a.iter().map(|w| w & !drop).collect();
+            let mut with_sub = base.clone();
+            with_sub.union_with(&set(&sub));
+            prop_assert!(Arc::ptr_eq(&with_sub.words, &base.words));
+            // Superset: the union takes the superset's words (or keeps
+            // its own when the two are the same words).
+            let sup = set(&or(&a, &b));
+            let mut into_sup = base.clone();
+            into_sup.union_with(&sup);
+            let shared = if sup.words == base.words { &base.words } else { &sup.words };
+            prop_assert!(Arc::ptr_eq(&into_sup.words, shared));
+            prop_assert_eq!(&into_sup.words[..], &or(&a, &b)[..]);
         }
 
         #[test]

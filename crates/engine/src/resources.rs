@@ -22,7 +22,10 @@
 //! state lives in slot-indexed slabs ([`FluidSystem`]'s `flows` +
 //! per-resource flow index `res_flows`), so the walk and the fill do no
 //! hashing — visited marks are generation stamps, membership removal is an
-//! O(1) swap-remove via per-claim back-pointers. When the dirty set grows
+//! O(1) swap-remove via per-claim back-pointers. A [`FlowId`] carries its
+//! slab slot, and a flow's claims are stored inline (at most
+//! [`MAX_CLAIMS`]), so adding and removing a flow neither hashes nor
+//! allocates once the slabs have grown. When the dirty set grows
 //! past [`FULL_SOLVE_THRESHOLD`] of all resources the incremental walk
 //! stops paying for itself and [`FluidSystem::recompute_full`] re-levels
 //! every component from scratch instead. Both paths run the identical
@@ -30,15 +33,27 @@
 //! bit — `prop_incremental_matches_scratch_to_0_ulp` holds them to 0 ULP.
 
 use crate::time::SimTime;
-use std::collections::HashMap;
 
 /// Identifies a capacity-limited resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResourceId(pub u32);
 
-/// Identifies an active flow.
+/// Identifies an active flow: its never-reused creation number plus the
+/// slab slot it occupies. Slots are recycled, so the number doubles as a
+/// generation — a handle to a removed flow whose slot was reused matches
+/// nothing. Ordering is by creation number (the derive compares `id`
+/// first), i.e. creation order, which is the tie-break of
+/// [`FluidSystem::next_completion`] and [`FluidSystem::drained_flows`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FlowId(pub u64);
+pub struct FlowId {
+    id: u64,
+    slot: u32,
+}
+
+/// Most resources one flow may claim: a wire flow claims sender and
+/// receiver process ports, both NICs and, across leaves, an uplink and a
+/// downlink.
+pub const MAX_CLAIMS: usize = 6;
 
 /// Bytes below which a flow counts as drained (absorbs fp rounding).
 const EPS_BYTES: f64 = 1e-6;
@@ -51,13 +66,21 @@ const FULL_SOLVE_THRESHOLD: f64 = 0.5;
 struct FlowState<T> {
     /// Monotonic public identity (never reused, unlike the slot).
     id: u64,
-    claims: Vec<ResourceId>,
+    n_claims: u8,
+    claim_buf: [ResourceId; MAX_CLAIMS],
     /// `claim_pos[k]` = this flow's index within `res_flows[claims[k]]`.
-    claim_pos: Vec<u32>,
+    claim_pos: [u32; MAX_CLAIMS],
     cap: f64,
     remaining: f64,
     rate: f64,
     token: T,
+}
+
+impl<T> FlowState<T> {
+    #[inline]
+    fn claims(&self) -> &[ResourceId] {
+        &self.claim_buf[..self.n_claims as usize]
+    }
 }
 
 /// Per-resource occupancy accumulators (see
@@ -86,9 +109,6 @@ pub struct FluidSystem<T> {
     /// Slot-indexed flow slab; freed slots go to `free_slots` for reuse.
     flows: Vec<Option<FlowState<T>>>,
     free_slots: Vec<u32>,
-    /// Public-id → slot (only consulted at the FlowId-keyed API edge:
-    /// add/remove/rate_of; every hot loop walks the slab directly).
-    slot_of: HashMap<u64, u32>,
     live: usize,
     /// Per-resource flow index: the slots of the flows claiming each
     /// resource, as `(slot, claim_index)` so removal is one swap_remove
@@ -117,7 +137,6 @@ impl<T> FluidSystem<T> {
             caps: Vec::new(),
             flows: Vec::new(),
             free_slots: Vec::new(),
-            slot_of: HashMap::new(),
             live: 0,
             res_flows: Vec::new(),
             dirty_resources: Vec::new(),
@@ -206,11 +225,17 @@ impl<T> FluidSystem<T> {
         self.dirty
     }
 
-    /// Add a flow of `bytes` over `claims` with per-flow ceiling `cap`.
-    /// The system becomes dirty; call [`FluidSystem::recompute`].
-    pub fn add_flow(&mut self, claims: Vec<ResourceId>, cap: f64, bytes: f64, token: T) -> FlowId {
+    /// Add a flow of `bytes` over `claims` (at most [`MAX_CLAIMS`]
+    /// distinct resources) with per-flow ceiling `cap`. The system becomes
+    /// dirty; call [`FluidSystem::recompute`].
+    pub fn add_flow(&mut self, claims: &[ResourceId], cap: f64, bytes: f64, token: T) -> FlowId {
         assert!(cap > 0.0, "flow cap must be positive");
         assert!(bytes >= 0.0, "flow bytes must be non-negative");
+        assert!(
+            claims.len() <= MAX_CLAIMS,
+            "flow claims {} resources, at most {MAX_CLAIMS} are supported",
+            claims.len()
+        );
         for (k, c) in claims.iter().enumerate() {
             assert!((c.0 as usize) < self.caps.len(), "unknown resource {c:?}");
             debug_assert!(
@@ -228,33 +253,47 @@ impl<T> FluidSystem<T> {
                 self.flows.len() as u32 - 1
             }
         };
-        let mut claim_pos = Vec::with_capacity(claims.len());
+        let mut claim_buf = [ResourceId(0); MAX_CLAIMS];
+        let mut claim_pos = [0u32; MAX_CLAIMS];
         for (k, c) in claims.iter().enumerate() {
             let list = &mut self.res_flows[c.0 as usize];
-            claim_pos.push(list.len() as u32);
+            claim_buf[k] = *c;
+            claim_pos[k] = list.len() as u32;
             list.push((slot, k as u32));
             self.dirty_resources.push(c.0);
         }
         self.flows[slot as usize] = Some(FlowState {
             id,
-            claims,
+            n_claims: claims.len() as u8,
+            claim_buf,
             claim_pos,
             cap,
             remaining: bytes,
             rate: 0.0,
             token,
         });
-        self.slot_of.insert(id, slot);
         self.live += 1;
         self.dirty = true;
-        FlowId(id)
+        FlowId { id, slot }
+    }
+
+    /// The live flow `id` names, if any (`None` once it was removed,
+    /// even if its slot now holds a newer flow).
+    #[inline]
+    fn live_flow(&self, id: FlowId) -> Option<&FlowState<T>> {
+        self.flows
+            .get(id.slot as usize)?
+            .as_ref()
+            .filter(|f| f.id == id.id)
     }
 
     /// Remove a flow (normally after completion), returning its token.
+    /// `None` when `id` is no longer live.
     pub fn remove_flow(&mut self, id: FlowId) -> Option<T> {
-        let slot = self.slot_of.remove(&id.0)?;
-        let f = self.flows[slot as usize].take().expect("indexed live flow");
-        for (c, &pos) in f.claims.iter().zip(f.claim_pos.iter()) {
+        self.live_flow(id)?;
+        let slot = id.slot;
+        let f = self.flows[slot as usize].take().expect("checked live");
+        for (c, &pos) in f.claims().iter().zip(f.claim_pos.iter()) {
             let list = &mut self.res_flows[c.0 as usize];
             list.swap_remove(pos as usize);
             if let Some(&(moved_slot, moved_k)) = list.get(pos as usize) {
@@ -309,7 +348,7 @@ impl<T> FluidSystem<T> {
         for (_, slot) in order {
             let f = self.flows[slot as usize].as_ref().expect("live slot");
             if f.rate > 0.0 {
-                for c in &f.claims {
+                for c in f.claims() {
                     loads[c.0 as usize] += f.rate;
                 }
             }
@@ -364,7 +403,7 @@ impl<T> FluidSystem<T> {
                     self.flow_stamp[slot as usize] = bfs_stamp;
                     let f = self.flows[slot as usize].as_ref().expect("indexed flow");
                     affected.push((f.id, slot));
-                    for c in &f.claims {
+                    for c in f.claims() {
                         if self.scratch_stamp[c.0 as usize] != bfs_stamp {
                             res_queue.push(c.0);
                         }
@@ -413,7 +452,7 @@ impl<T> FluidSystem<T> {
                 self.flows[slot as usize]
                     .as_ref()
                     .expect("live slot")
-                    .claims
+                    .claims()
                     .iter()
                     .map(|c| c.0),
             );
@@ -429,7 +468,7 @@ impl<T> FluidSystem<T> {
                         self.flow_stamp[s2 as usize] = visit_stamp;
                         let f = self.flows[s2 as usize].as_ref().expect("indexed flow");
                         component.push((f.id, s2));
-                        for c in &f.claims {
+                        for c in f.claims() {
                             if self.scratch_stamp[c.0 as usize] != visit_stamp {
                                 res_queue.push(c.0);
                             }
@@ -468,7 +507,7 @@ impl<T> FluidSystem<T> {
         let fill_stamp = self.stamp;
         for &(_, slot) in region {
             let f = self.flows[slot as usize].as_ref().expect("live slot");
-            for c in &f.claims {
+            for c in f.claims() {
                 let ri = c.0 as usize;
                 if stamps[ri] != fill_stamp {
                     stamps[ri] = fill_stamp;
@@ -486,7 +525,7 @@ impl<T> FluidSystem<T> {
             for (&slot, cand) in work.iter().zip(cands.iter_mut()) {
                 let f = self.flows[slot as usize].as_ref().expect("live slot");
                 let mut share = f.cap;
-                for c in &f.claims {
+                for c in f.claims() {
                     let ri = c.0 as usize;
                     let n = count[ri];
                     if n > 0 {
@@ -503,7 +542,7 @@ impl<T> FluidSystem<T> {
             for (slot, cand) in work.drain(..).zip(cands.drain(..)) {
                 if cand <= min_share * (1.0 + 1e-12) {
                     let f = self.flows[slot as usize].as_ref().expect("live slot");
-                    for c in &f.claims {
+                    for c in f.claims() {
                         let ri = c.0 as usize;
                         residual[ri] = (residual[ri] - min_share).max(0.0);
                         count[ri] -= 1;
@@ -531,7 +570,8 @@ impl<T> FluidSystem<T> {
     pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
         debug_assert!(!self.dirty, "call recompute() before next_completion()");
         let mut best: Option<(SimTime, FlowId)> = None;
-        for f in self.flows.iter().flatten() {
+        for (slot, f) in self.flows.iter().enumerate() {
+            let Some(f) = f else { continue };
             let t = if f.remaining <= EPS_BYTES {
                 self.last_update
             } else if f.rate > 0.0 {
@@ -539,9 +579,13 @@ impl<T> FluidSystem<T> {
             } else {
                 continue; // starved flow: cannot finish until rates change
             };
+            let fid = FlowId {
+                id: f.id,
+                slot: slot as u32,
+            };
             match best {
-                Some((bt, bid)) if (bt, bid) <= (t, FlowId(f.id)) => {}
-                _ => best = Some((t, FlowId(f.id))),
+                Some((bt, bid)) if (bt, bid) <= (t, fid) => {}
+                _ => best = Some((t, fid)),
             }
         }
         best
@@ -552,9 +596,14 @@ impl<T> FluidSystem<T> {
         let mut v: Vec<FlowId> = self
             .flows
             .iter()
-            .flatten()
-            .filter(|f| f.remaining <= EPS_BYTES)
-            .map(|f| FlowId(f.id))
+            .enumerate()
+            .filter_map(|(slot, f)| {
+                let f = f.as_ref()?;
+                (f.remaining <= EPS_BYTES).then_some(FlowId {
+                    id: f.id,
+                    slot: slot as u32,
+                })
+            })
             .collect();
         v.sort_unstable();
         v
@@ -562,8 +611,7 @@ impl<T> FluidSystem<T> {
 
     /// Current rate of a flow (test/diagnostic).
     pub fn rate_of(&self, id: FlowId) -> Option<f64> {
-        let slot = *self.slot_of.get(&id.0)?;
-        self.flows[slot as usize].as_ref().map(|f| f.rate)
+        self.live_flow(id).map(|f| f.rate)
     }
 
     /// Aggregate current rate over all flows (test/diagnostic).
@@ -589,11 +637,11 @@ mod tests {
     fn single_flow_gets_min_of_cap_and_resource() {
         let mut s: FluidSystem<()> = FluidSystem::new();
         let r = s.add_resource(10.0);
-        let f = s.add_flow(vec![r], 3.0, 100.0, ());
+        let f = s.add_flow(&[r], 3.0, 100.0, ());
         s.recompute();
         approx(s.rate_of(f).unwrap(), 3.0);
 
-        let f2 = s.add_flow(vec![r], 30.0, 100.0, ());
+        let f2 = s.add_flow(&[r], 30.0, 100.0, ());
         s.recompute();
         // f frozen at cap 3, f2 takes min(30, (10-? )) — progressive fill:
         // equal share would be 5 each; f capped at 3, leftover 7 to f2.
@@ -605,9 +653,7 @@ mod tests {
     fn equal_flows_share_equally() {
         let mut s: FluidSystem<u32> = FluidSystem::new();
         let r = s.add_resource(12.0);
-        let flows: Vec<FlowId> = (0..4)
-            .map(|i| s.add_flow(vec![r], 100.0, 50.0, i))
-            .collect();
+        let flows: Vec<FlowId> = (0..4).map(|i| s.add_flow(&[r], 100.0, 50.0, i)).collect();
         s.recompute();
         for f in &flows {
             approx(s.rate_of(*f).unwrap(), 3.0);
@@ -621,9 +667,9 @@ mod tests {
         let mut s: FluidSystem<&str> = FluidSystem::new();
         let r1 = s.add_resource(30.0);
         let r2 = s.add_resource(4.0);
-        let a = s.add_flow(vec![r1], 100.0, 1.0, "a");
-        let b = s.add_flow(vec![r1, r2], 100.0, 1.0, "b");
-        let c = s.add_flow(vec![r1, r2], 100.0, 1.0, "c");
+        let a = s.add_flow(&[r1], 100.0, 1.0, "a");
+        let b = s.add_flow(&[r1, r2], 100.0, 1.0, "b");
+        let c = s.add_flow(&[r1, r2], 100.0, 1.0, "c");
         s.recompute();
         // b, c limited by r2: 2 each. a gets the rest of r1: 30-4=26.
         approx(s.rate_of(b).unwrap(), 2.0);
@@ -635,7 +681,7 @@ mod tests {
     fn advance_drains_and_completes() {
         let mut s: FluidSystem<()> = FluidSystem::new();
         let r = s.add_resource(10.0);
-        let f = s.add_flow(vec![r], 10.0, 100.0, ());
+        let f = s.add_flow(&[r], 10.0, 100.0, ());
         s.recompute();
         let (t, id) = s.next_completion().unwrap();
         assert_eq!(id, f);
@@ -650,8 +696,8 @@ mod tests {
     fn rates_rebalance_after_removal() {
         let mut s: FluidSystem<()> = FluidSystem::new();
         let r = s.add_resource(10.0);
-        let f1 = s.add_flow(vec![r], 100.0, 100.0, ());
-        let f2 = s.add_flow(vec![r], 100.0, 100.0, ());
+        let f1 = s.add_flow(&[r], 100.0, 100.0, ());
+        let f2 = s.add_flow(&[r], 100.0, 100.0, ());
         s.recompute();
         approx(s.rate_of(f1).unwrap(), 5.0);
         s.advance_to(SimTime::new(2.0)); // both at 90 remaining
@@ -669,8 +715,8 @@ mod tests {
         let r = s.add_resource(10.0);
         s.enable_utilization();
         // Two flows of 10 bytes each: combined rate 10 (peak 100%).
-        s.add_flow(vec![r], 100.0, 10.0, ());
-        s.add_flow(vec![r], 100.0, 10.0, ());
+        s.add_flow(&[r], 100.0, 10.0, ());
+        s.add_flow(&[r], 100.0, 10.0, ());
         s.recompute();
         s.advance_to(SimTime::new(2.0)); // both drained
         let (bytes, peak) = s.utilization_of(r).unwrap();
@@ -685,7 +731,7 @@ mod tests {
     fn zero_byte_flow_completes_immediately() {
         let mut s: FluidSystem<()> = FluidSystem::new();
         let r = s.add_resource(10.0);
-        let f = s.add_flow(vec![r], 1.0, 0.0, ());
+        let f = s.add_flow(&[r], 1.0, 0.0, ());
         s.recompute();
         let (t, id) = s.next_completion().unwrap();
         assert_eq!(id, f);
@@ -698,12 +744,12 @@ mod tests {
         let mut s: FluidSystem<()> = FluidSystem::new();
         let r = s.add_resource(10.0);
         for _ in 0..3 {
-            s.add_flow(vec![r], 2.0, 1.0, ());
+            s.add_flow(&[r], 2.0, 1.0, ());
         }
         s.recompute();
         approx(s.total_rate(), 6.0);
         // A 4th uncapped flow soaks the rest.
-        s.add_flow(vec![r], 100.0, 1.0, ());
+        s.add_flow(&[r], 100.0, 1.0, ());
         s.recompute();
         approx(s.total_rate(), 10.0);
     }
@@ -712,7 +758,7 @@ mod tests {
     fn set_capacity_degrades_and_restores() {
         let mut s: FluidSystem<()> = FluidSystem::new();
         let r = s.add_resource(10.0);
-        let f = s.add_flow(vec![r], 100.0, 100.0, ());
+        let f = s.add_flow(&[r], 100.0, 100.0, ());
         s.recompute();
         approx(s.rate_of(f).unwrap(), 10.0);
         // Degrade to half.
@@ -742,8 +788,8 @@ mod tests {
         let mut s: FluidSystem<u32> = FluidSystem::new();
         let dead = s.add_resource(10.0);
         let live = s.add_resource(10.0);
-        let fd = s.add_flow(vec![dead], 100.0, 1.0, 0);
-        let fl = s.add_flow(vec![live], 100.0, 1.0, 1);
+        let fd = s.add_flow(&[dead], 100.0, 1.0, 0);
+        let fl = s.add_flow(&[live], 100.0, 1.0, 1);
         s.set_capacity(dead, 0.0);
         s.recompute();
         approx(s.rate_of(fd).unwrap(), 0.0);
@@ -759,16 +805,12 @@ mod tests {
             let specs = [(vec![r1], 4.0), (vec![r1, r2], 9.0), (vec![r2], 9.0)];
             // Insert all flows; ids follow insertion order but rates must
             // not depend on it.
-            let mut rates = vec![0.0; 3];
-            let mut ids = [FlowId(0); 3];
+            let mut ids = [None; 3];
             for &i in order {
-                ids[i] = s.add_flow(specs[i].0.clone(), specs[i].1, 1.0, i);
+                ids[i] = Some(s.add_flow(&specs[i].0, specs[i].1, 1.0, i));
             }
             s.recompute();
-            for i in 0..3 {
-                rates[i] = s.rate_of(ids[i]).unwrap();
-            }
-            rates
+            ids.map(|id| s.rate_of(id.unwrap()).unwrap())
         };
         let a = build(&[0, 1, 2]);
         let b = build(&[2, 0, 1]);
@@ -786,8 +828,8 @@ mod tests {
             let mut s: FluidSystem<u32> = FluidSystem::new();
             s.enable_utilization();
             let r = s.add_resource(10.0);
-            let a = s.add_flow(vec![r], 100.0, 100.0, 0);
-            let b = s.add_flow(vec![r], 100.0, 100.0, 1);
+            let a = s.add_flow(&[r], 100.0, 100.0, 0);
+            let b = s.add_flow(&[r], 100.0, 100.0, 1);
             s.recompute(); // 5.0 each
             if cancel {
                 s.advance_to(SimTime::new(4.0)); // 20 bytes drained each
@@ -813,6 +855,72 @@ mod tests {
         assert_eq!(bytes_cancel.to_bits(), again.1 .0.to_bits());
     }
 
+    /// A handle outlives its flow: once the slot is recycled for a newer
+    /// flow, the stale handle must match nothing — not the newcomer.
+    #[test]
+    fn stale_handle_to_a_reused_slot_matches_nothing() {
+        let mut s: FluidSystem<u32> = FluidSystem::new();
+        let r = s.add_resource(10.0);
+        let old = s.add_flow(&[r], 4.0, 100.0, 1);
+        assert_eq!(s.remove_flow(old), Some(1));
+        let new = s.add_flow(&[r], 100.0, 100.0, 2);
+        assert_eq!(new.slot, old.slot, "the freed slot is reused");
+        s.recompute();
+        assert_eq!(s.rate_of(old), None);
+        assert_eq!(s.remove_flow(old), None);
+        // The newcomer is untouched by the stale calls.
+        assert_eq!(s.active_flows(), 1);
+        approx(s.rate_of(new).unwrap(), 10.0);
+        assert_eq!(s.remove_flow(new), Some(2));
+        assert_eq!(s.remove_flow(new), None, "double remove");
+    }
+
+    /// `drained_flows` and `next_completion` break ties by `FlowId`, so
+    /// handle order must be creation order even when a newer flow sits
+    /// in a lower, recycled slot.
+    #[test]
+    fn handle_order_is_creation_order_across_slot_reuse() {
+        let mut s: FluidSystem<()> = FluidSystem::new();
+        let r = s.add_resource(10.0);
+        let a = s.add_flow(&[r], 1.0, 0.0, ());
+        let b = s.add_flow(&[r], 1.0, 0.0, ());
+        let c = s.add_flow(&[r], 1.0, 0.0, ());
+        s.remove_flow(a);
+        let d = s.add_flow(&[r], 1.0, 0.0, ()); // takes a's slot 0
+        assert!(d.slot < b.slot && d.slot < c.slot);
+        assert!(b < c && c < d, "{b:?} {c:?} {d:?}");
+        assert_eq!([b.id, c.id, d.id], [1, 2, 3], "ids count creations");
+        s.recompute();
+        // All three are zero-byte flows due now: ties go to the oldest.
+        assert_eq!(s.drained_flows(), vec![b, c, d]);
+        assert_eq!(s.next_completion(), Some((SimTime::ZERO, b)));
+        s.remove_flow(b);
+        s.recompute();
+        assert_eq!(s.next_completion(), Some((SimTime::ZERO, c)));
+    }
+
+    #[test]
+    fn a_flow_may_claim_up_to_max_claims_resources() {
+        let mut s: FluidSystem<()> = FluidSystem::new();
+        let rs: Vec<ResourceId> = (0..MAX_CLAIMS)
+            .map(|i| s.add_resource(1.0 + i as f64))
+            .collect();
+        let f = s.add_flow(&rs, 100.0, 1.0, ());
+        s.recompute();
+        approx(s.rate_of(f).unwrap(), 1.0);
+        assert!(rs.iter().all(|&r| s.resource_has_flows(r)));
+        s.remove_flow(f);
+        assert!(rs.iter().all(|&r| !s.resource_has_flows(r)));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most")]
+    fn more_than_max_claims_is_rejected() {
+        let mut s: FluidSystem<()> = FluidSystem::new();
+        let rs: Vec<ResourceId> = (0..=MAX_CLAIMS).map(|_| s.add_resource(1.0)).collect();
+        s.add_flow(&rs, 1.0, 1.0, ());
+    }
+
     use proptest::prelude::*;
 
     proptest! {
@@ -836,7 +944,7 @@ mod tests {
                     .collect();
                 cl.sort_by_key(|r| r.0);
                 cl.dedup();
-                ids.push(s.add_flow(cl, *cap, 1.0, i));
+                ids.push(s.add_flow(&cl, *cap, 1.0, i));
             }
             s.recompute();
 
@@ -885,7 +993,7 @@ mod tests {
                             picks.iter().map(|&c| rids[c % rids.len()]).collect();
                         cl.sort_by_key(|r| r.0);
                         cl.dedup();
-                        live.push(s.add_flow(cl, *cap, *bytes, i));
+                        live.push(s.add_flow(&cl, *cap, *bytes, i));
                     }
                     // Teardown of the oldest live flow.
                     2 => {
@@ -934,7 +1042,7 @@ mod tests {
                     claims.iter().map(|&c| rids[c % rids.len()]).collect();
                 cl.sort_by_key(|r| r.0);
                 cl.dedup();
-                ids.push((s.add_flow(cl.clone(), *cap, 1.0, i), cl, *cap));
+                ids.push((s.add_flow(&cl, *cap, 1.0, i), cl, *cap));
             }
             s.recompute();
             // Total load per resource, summed over the flows crossing it.

@@ -260,8 +260,8 @@ enum ApplyKind {
 }
 
 #[derive(Debug)]
-struct PendingLocal {
-    kind: LocalKind,
+struct PendingLocal<'a> {
+    kind: LocalKind<'a>,
     dst: BufKey,
     range: ByteRange,
 }
@@ -281,21 +281,25 @@ struct PendingApply {
     attempts: u32,
 }
 
+/// Source operands borrow the instruction in the world program.
 #[derive(Debug)]
-enum LocalKind {
+enum LocalKind<'a> {
     Copy { src: BufKey, cross_socket: bool },
-    Reduce { srcs: Vec<BufKey> },
+    Reduce { srcs: &'a [BufKey] },
 }
 
-struct RankState {
+struct RankState<'a> {
     pc: usize,
     status: Status,
     blocked_span: Option<(SpanKind, SimTime, u64, Phase)>,
-    bufs: HashMap<u32, CoverageMap>,
     reqs: Vec<ReqState>,
-    waiting: Vec<ReqId>,
-    pending_local: Option<PendingLocal>,
+    /// The requests of the `WaitAll` the rank is blocked in (borrowed
+    /// from the instruction; empty when not waiting).
+    waiting: &'a [ReqId],
+    pending_local: Option<PendingLocal<'a>>,
     pending_apply: Option<PendingApply>,
+    /// The fluid flow of the local copy/reduce in progress, if any.
+    flow: Option<FlowId>,
     finish: Option<SimTime>,
     /// The event that most recently unblocked this rank (traced runs
     /// only); consumed by `end_span` for Wait/Barrier/Sharp spans.
@@ -328,6 +332,73 @@ struct Msg {
     /// Index of this message's `MsgTrace` record, once arrived (traced
     /// runs only).
     trace_idx: Option<usize>,
+    /// The fluid flow carrying the message, while it is on the wire or
+    /// in its shared-memory copy-out.
+    flow: Option<FlowId>,
+}
+
+/// Buffer `id` of a dense table, growing the table to hold it.
+fn entry(table: &mut Vec<CoverageMap>, id: u32) -> &mut CoverageMap {
+    let id = id as usize;
+    if table.len() <= id {
+        table.resize_with(id + 1, CoverageMap::empty);
+    }
+    &mut table[id]
+}
+
+/// Every buffer's coverage, in dense tables indexed by buffer id:
+/// private buffers per rank, shared buffers per node. Ids come from
+/// `ProgramBuilder::fresh_*` (plus the fixed input/result ids), so they
+/// are small and contiguous; a table grows to the highest id written and
+/// a never-written buffer reads as empty.
+struct Buffers<'a> {
+    map: &'a RankMap,
+    private: Vec<Vec<CoverageMap>>,
+    shared: Vec<Vec<CoverageMap>>,
+}
+
+impl Buffers<'_> {
+    /// Rank `r`'s view of `key`: its own private buffer or its node's
+    /// shared one. `None` if never written.
+    fn get(&self, r: u32, key: BufKey) -> Option<&CoverageMap> {
+        let (table, id) = match key {
+            BufKey::Priv(id) => (&self.private[r as usize], id),
+            BufKey::Shared(id) => (&self.shared[self.map.node_of(Rank(r)).index()], id),
+        };
+        table.get(id as usize)
+    }
+
+    /// Mutable access to rank `r`'s view of `key`, growing its table.
+    fn get_mut(&mut self, r: u32, key: BufKey) -> &mut CoverageMap {
+        match key {
+            BufKey::Priv(id) => entry(&mut self.private[r as usize], id),
+            BufKey::Shared(id) => entry(&mut self.shared[self.map.node_of(Rank(r)).index()], id),
+        }
+    }
+
+    /// A copy of `key`'s coverage over `range` (empty if never written).
+    fn snapshot(&self, r: u32, key: BufKey, range: ByteRange) -> CoverageMap {
+        self.get(r, key)
+            .map(|b| b.restrict(range.start, range.end))
+            .unwrap_or_default()
+    }
+
+    /// Apply `payload`'s coverage over `range` to `key`: replace it or
+    /// union into it.
+    fn apply(
+        &mut self,
+        r: u32,
+        key: BufKey,
+        range: ByteRange,
+        payload: &CoverageMap,
+        kind: &ApplyKind,
+    ) {
+        let buf = self.get_mut(r, key);
+        match kind {
+            ApplyKind::Overwrite => buf.overwrite(payload, range.start, range.end),
+            ApplyKind::Union => buf.union_merge(payload, range.start, range.end),
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -486,8 +557,8 @@ struct SimState<'a> {
     oracle: Option<&'a dyn SharpOracle>,
     now: SimTime,
     events: EventQueue<Ev>,
-    ranks: Vec<RankState>,
-    shared: Vec<HashMap<u32, CoverageMap>>,
+    ranks: Vec<RankState<'a>>,
+    bufs: Buffers<'a>,
     msgs: Vec<Msg>,
     recv_waiting: HashMap<(u32, u32, Tag), VecDeque<(u32, u32)>>,
     arrived: HashMap<(u32, u32, Tag), VecDeque<usize>>,
@@ -495,8 +566,6 @@ struct SimState<'a> {
     nic_busy: Vec<bool>,
     fluid: FluidSystem<FlowToken>,
     flow_gen: u64,
-    flow_of_msg: HashMap<usize, FlowId>,
-    flow_of_rank: HashMap<u32, FlowId>,
     barriers: HashMap<u32, BarrierState>,
     sharp_ops: Vec<SharpOpState>,
     sharp_op_of_group: HashMap<u32, usize>,
@@ -586,23 +655,24 @@ impl<'a> SimState<'a> {
         }
 
         let ranks = (0..p)
-            .map(|r| {
-                let mut bufs = HashMap::new();
-                bufs.insert(0, world.initial_input(Rank(r)));
-                RankState {
-                    pc: 0,
-                    status: Status::Ready,
-                    blocked_span: None,
-                    bufs,
-                    reqs: Vec::new(),
-                    waiting: Vec::new(),
-                    pending_local: None,
-                    pending_apply: None,
-                    finish: None,
-                    last_release: None,
-                }
+            .map(|_| RankState {
+                pc: 0,
+                status: Status::Ready,
+                blocked_span: None,
+                reqs: Vec::new(),
+                waiting: &[],
+                pending_local: None,
+                pending_apply: None,
+                flow: None,
+                finish: None,
+                last_release: None,
             })
             .collect();
+        let bufs = Buffers {
+            map: &cfg.map,
+            private: (0..p).map(|r| vec![world.initial_input(Rank(r))]).collect(),
+            shared: vec![Vec::new(); h],
+        };
 
         let mut st = SimState {
             cfg,
@@ -611,7 +681,7 @@ impl<'a> SimState<'a> {
             now: SimTime::ZERO,
             events: EventQueue::new(),
             ranks,
-            shared: (0..h).map(|_| HashMap::new()).collect(),
+            bufs,
             msgs: Vec::new(),
             recv_waiting: HashMap::new(),
             arrived: HashMap::new(),
@@ -619,8 +689,6 @@ impl<'a> SimState<'a> {
             nic_busy: vec![false; h],
             fluid,
             flow_gen: 0,
-            flow_of_msg: HashMap::new(),
-            flow_of_rank: HashMap::new(),
             barriers: HashMap::new(),
             sharp_ops: Vec::new(),
             sharp_op_of_group: HashMap::new(),
@@ -656,12 +724,12 @@ impl<'a> SimState<'a> {
         // checkpointed buffer state instead of empty buffers.
         for (r, id, cov) in &world.preset_priv {
             if *r < p {
-                st.ranks[*r as usize].bufs.insert(*id, cov.clone());
+                *st.bufs.get_mut(*r, BufKey::Priv(*id)) = cov.clone();
             }
         }
         for (node, id, cov) in &world.preset_shared {
-            if (*node as usize) < st.shared.len() {
-                st.shared[*node as usize].insert(*id, cov.clone());
+            if let Some(table) = st.bufs.shared.get_mut(*node as usize) {
+                *entry(table, *id) = cov.clone();
             }
         }
         if let Some(plan) = st.faults {
@@ -953,7 +1021,7 @@ impl<'a> SimState<'a> {
                         self.ranks[r as usize].pc += 1;
                         continue;
                     }
-                    self.ranks[r as usize].waiting = reqs.clone();
+                    self.ranks[r as usize].waiting = reqs;
                     self.ranks[r as usize].status = Status::OnWait;
                     self.begin_span(r, SpanKind::Wait, 0, phase);
                     return Ok(());
@@ -985,7 +1053,7 @@ impl<'a> SimState<'a> {
                     self.ranks[r as usize].pc += 1;
                     self.begin_span(r, SpanKind::Reduce, range.len() * srcs.len() as u64, phase);
                     self.ranks[r as usize].pending_local = Some(PendingLocal {
-                        kind: LocalKind::Reduce { srcs: srcs.clone() },
+                        kind: LocalKind::Reduce { srcs },
                         dst: *dst,
                         range: *range,
                     });
@@ -1036,46 +1104,6 @@ impl<'a> SimState<'a> {
         }
     }
 
-    // ---- buffers -----------------------------------------------------------
-
-    fn buf_snapshot(&self, r: u32, key: BufKey, range: ByteRange) -> CoverageMap {
-        match key {
-            BufKey::Priv(id) => self.ranks[r as usize]
-                .bufs
-                .get(&id)
-                .map(|b| b.restrict(range.start, range.end))
-                .unwrap_or_default(),
-            BufKey::Shared(id) => {
-                let node = self.cfg.map.node_of(Rank(r)).index();
-                self.shared[node]
-                    .get(&id)
-                    .map(|b| b.restrict(range.start, range.end))
-                    .unwrap_or_default()
-            }
-        }
-    }
-
-    fn buf_apply(
-        &mut self,
-        r: u32,
-        key: BufKey,
-        range: ByteRange,
-        payload: &CoverageMap,
-        kind: &ApplyKind,
-    ) {
-        let buf = match key {
-            BufKey::Priv(id) => self.ranks[r as usize].bufs.entry(id).or_default(),
-            BufKey::Shared(id) => {
-                let node = self.cfg.map.node_of(Rank(r)).index();
-                self.shared[node].entry(id).or_default()
-            }
-        };
-        match kind {
-            ApplyKind::Overwrite => buf.overwrite(payload, range.start, range.end),
-            ApplyKind::Union => buf.union_merge(payload, range.start, range.end),
-        }
-    }
-
     // ---- sends / receives ---------------------------------------------------
 
     fn exec_isend(
@@ -1087,7 +1115,7 @@ impl<'a> SimState<'a> {
         range: ByteRange,
         phase: Phase,
     ) {
-        let payload = self.buf_snapshot(r, src, range);
+        let payload = self.bufs.snapshot(r, src, range);
         let src_node = self.cfg.map.node_of(Rank(r));
         let dst_node = self.cfg.map.node_of(to);
         let intra = src_node == dst_node;
@@ -1122,6 +1150,7 @@ impl<'a> SimState<'a> {
             first_posted: None,
             phase,
             trace_idx: None,
+            flow: None,
         });
         self.stats.messages += 1;
         if !intra {
@@ -1168,12 +1197,12 @@ impl<'a> SimState<'a> {
             let bytes = self.msgs[m].range.len() as f64;
             let cap = self.cfg.fabric.mem.copy_bw(self.msgs[m].cross_socket);
             let fid = self.fluid.add_flow(
-                vec![self.res_mem[node], self.res_proc_cpu[dst]],
+                &[self.res_mem[node], self.res_proc_cpu[dst]],
                 cap,
                 bytes,
                 FlowToken::Net(m),
             );
-            self.flow_of_msg.insert(m, fid);
+            self.msgs[m].flow = Some(fid);
         } else {
             let node = self.cfg.map.node_of(self.msgs[m].src).index();
             self.nic_queue[node].push_back(m);
@@ -1193,22 +1222,26 @@ impl<'a> SimState<'a> {
         // Start the wire flow for this message.
         let src_node = self.cfg.map.node_of(self.msgs[m].src);
         let dst_node = self.cfg.map.node_of(self.msgs[m].dst);
-        let mut claims = vec![
+        let src_leaf = self.cfg.tree.leaf_of(src_node).expect("valid node");
+        let dst_leaf = self.cfg.tree.leaf_of(dst_node).expect("valid node");
+        let claims = [
             self.res_proc_tx[self.msgs[m].src.index()],
             self.res_proc_rx[self.msgs[m].dst.index()],
             self.res_tx[src_node.index()],
             self.res_rx[dst_node.index()],
+            self.res_leaf_up[src_leaf.index()],
+            self.res_leaf_down[dst_leaf.index()],
         ];
-        let src_leaf = self.cfg.tree.leaf_of(src_node).expect("valid node");
-        let dst_leaf = self.cfg.tree.leaf_of(dst_node).expect("valid node");
-        if src_leaf != dst_leaf {
-            claims.push(self.res_leaf_up[src_leaf.index()]);
-            claims.push(self.res_leaf_down[dst_leaf.index()]);
-        }
+        // Within one leaf switch the transfer never crosses the core.
+        let claims = if src_leaf != dst_leaf {
+            &claims[..]
+        } else {
+            &claims[..4]
+        };
         let bytes = self.msgs[m].range.len() as f64;
         let cap = self.cfg.fabric.nic.per_flow_bw;
         let fid = self.fluid.add_flow(claims, cap, bytes, FlowToken::Net(m));
-        self.flow_of_msg.insert(m, fid);
+        self.msgs[m].flow = Some(fid);
         self.msgs[m].wire_start = Some(self.now);
         // Keep serving the queue.
         if self.nic_queue[node as usize].is_empty() {
@@ -1243,15 +1276,15 @@ impl<'a> SimState<'a> {
     }
 
     fn deliver(&mut self, m: usize, r: u32, req_idx: u32) {
-        let (dst, range, payload) = {
-            let msg = &self.msgs[m];
-            let dst = match &self.ranks[r as usize].reqs[req_idx as usize] {
-                ReqState::RecvPending { dst } => *dst,
-                other => panic!("delivering to non-recv request {other:?}"),
-            };
-            (dst, msg.range, msg.payload.clone())
+        let dst = match &self.ranks[r as usize].reqs[req_idx as usize] {
+            ReqState::RecvPending { dst } => *dst,
+            other => panic!("delivering to non-recv request {other:?}"),
         };
-        self.buf_apply(r, dst, range, &payload, &ApplyKind::Overwrite);
+        // A message is delivered once: its payload moves into the buffer.
+        let payload = std::mem::take(&mut self.msgs[m].payload);
+        let range = self.msgs[m].range;
+        self.bufs
+            .apply(r, dst, range, &payload, &ApplyKind::Overwrite);
         self.ranks[r as usize].reqs[req_idx as usize] = ReqState::Done;
         let release = self.msgs[m].trace_idx.map(|idx| Release::Msg { idx });
         self.maybe_unblock_wait(r, release);
@@ -1269,7 +1302,7 @@ impl<'a> SimState<'a> {
             .iter()
             .all(|q| self.ranks[r as usize].reqs[q.0 as usize] == ReqState::Done);
         if ok {
-            self.ranks[r as usize].waiting.clear();
+            self.ranks[r as usize].waiting = &[];
             self.ranks[r as usize].status = Status::Ready;
             self.ranks[r as usize].last_release = release;
             self.push(self.now, Ev::Resume(r));
@@ -1393,15 +1426,17 @@ impl<'a> SimState<'a> {
         let node = self.cfg.map.node_of(Rank(r)).index();
         let (payload, kind, bytes, cap) = match pending.kind {
             LocalKind::Copy { src, cross_socket } => {
-                let p = self.buf_snapshot(r, src, pending.range);
+                let p = self.bufs.snapshot(r, src, pending.range);
                 let cap = self.cfg.fabric.mem.copy_bw(cross_socket);
                 (p, ApplyKind::Overwrite, pending.range.len() as f64, cap)
             }
             LocalKind::Reduce { srcs } => {
+                // Fold the sources straight out of their buffers.
                 let mut acc = CoverageMap::empty();
-                for s in &srcs {
-                    let p = self.buf_snapshot(r, *s, pending.range);
-                    acc.union_merge(&p, pending.range.start, pending.range.end);
+                for &s in srcs {
+                    if let Some(b) = self.bufs.get(r, s) {
+                        acc.union_merge(b, pending.range.start, pending.range.end);
+                    }
                 }
                 let passes = srcs.len() as f64;
                 let cap = self.cfg.fabric.compute.per_core_reduce_bw;
@@ -1424,8 +1459,8 @@ impl<'a> SimState<'a> {
         });
         let fid = self
             .fluid
-            .add_flow(vec![self.res_mem[node]], cap, bytes, FlowToken::Local(r));
-        self.flow_of_rank.insert(r, fid);
+            .add_flow(&[self.res_mem[node]], cap, bytes, FlowToken::Local(r));
+        self.ranks[r as usize].flow = Some(fid);
     }
 
     // ---- flow completion -------------------------------------------------------
@@ -1439,7 +1474,7 @@ impl<'a> SimState<'a> {
             };
             match token {
                 FlowToken::Net(m) => {
-                    self.flow_of_msg.remove(&m);
+                    self.msgs[m].flow = None;
                     let lat = if self.msgs[m].intra {
                         0.0
                     } else {
@@ -1448,7 +1483,7 @@ impl<'a> SimState<'a> {
                     self.push(self.now.after(lat), Ev::MsgArrive(m));
                 }
                 FlowToken::Local(r) => {
-                    self.flow_of_rank.remove(&r);
+                    self.ranks[r as usize].flow = None;
                     let apply = self.ranks[r as usize]
                         .pending_apply
                         .take()
@@ -1475,12 +1510,12 @@ impl<'a> SimState<'a> {
                                 }
                                 let node = self.cfg.map.node_of(Rank(r)).index();
                                 let redo = self.fluid.add_flow(
-                                    vec![self.res_mem[node]],
+                                    &[self.res_mem[node]],
                                     apply.cap,
                                     apply.bytes,
                                     FlowToken::Local(r),
                                 );
-                                self.flow_of_rank.insert(r, redo);
+                                self.ranks[r as usize].flow = Some(redo);
                                 self.ranks[r as usize].pending_apply = Some(PendingApply {
                                     attempts: attempt + 1,
                                     ..apply
@@ -1489,7 +1524,8 @@ impl<'a> SimState<'a> {
                             }
                         }
                     }
-                    self.buf_apply(r, apply.dst, apply.range, &apply.payload, &apply.kind);
+                    self.bufs
+                        .apply(r, apply.dst, apply.range, &apply.payload, &apply.kind);
                     self.push(self.now, Ev::Resume(r));
                 }
             }
@@ -1583,14 +1619,15 @@ impl<'a> SimState<'a> {
                 i
             }
         };
-        let payload = self.buf_snapshot(r, src, range);
         let op = &mut self.sharp_ops[op_idx];
         assert!(!op.started, "sharp group {group} joined after start");
         if let Some(prev) = op.range {
             assert_eq!(prev, range, "sharp group {group} members disagree on range");
         }
         op.range = Some(range);
-        op.accum.union_merge(&payload, range.start, range.end);
+        if let Some(b) = self.bufs.get(r, src) {
+            op.accum.union_merge(b, range.start, range.end);
+        }
         op.dsts.push((Rank(r), dst, req));
         op.arrived += 1;
         op.last_join = Some((r, self.now));
@@ -1637,7 +1674,7 @@ impl<'a> SimState<'a> {
             let op = &mut self.sharp_ops[op_idx];
             op.done = true;
             (
-                op.accum.clone(),
+                std::mem::take(&mut op.accum),
                 op.range.expect("range set"),
                 std::mem::take(&mut op.dsts),
                 op.last_join,
@@ -1651,7 +1688,8 @@ impl<'a> SimState<'a> {
             if matches!(self.ranks[rank.index()].status, Status::Dead) {
                 continue; // joined the op, then died before it completed
             }
-            self.buf_apply(rank.0, dst, range, &accum, &ApplyKind::Overwrite);
+            self.bufs
+                .apply(rank.0, dst, range, &accum, &ApplyKind::Overwrite);
             match req {
                 None => {
                     if self.trace.is_some() {
@@ -1696,7 +1734,7 @@ impl<'a> SimState<'a> {
         // Abort an in-progress local copy/reduce: either still in its
         // startup latency (pending_local) or already a memory flow
         // (pending_apply + flow). The destination buffer is never touched.
-        if let Some(fid) = self.flow_of_rank.remove(&r) {
+        if let Some(fid) = self.ranks[idx].flow.take() {
             self.fluid.remove_flow(fid);
         }
         if let Some(p) = self.ranks[idx].pending_local.take() {
@@ -1722,17 +1760,18 @@ impl<'a> SimState<'a> {
         // survivors immediately. A surviving sender whose rendezvous
         // payload was mid-wire to the dead receiver has its send request
         // completed here, matching the arrival-path treatment (the bytes
-        // left its buffer; only the delivery is lost).
-        let in_flight: Vec<usize> = self
-            .flow_of_msg
-            .keys()
-            .copied()
-            .filter(|&m| self.msgs[m].src.0 == r || self.msgs[m].dst.0 == r)
-            .collect();
-        for m in in_flight {
-            if let Some(fid) = self.flow_of_msg.remove(&m) {
-                self.fluid.remove_flow(fid);
+        // left its buffer; only the delivery is lost). Messages are torn
+        // down in index (i.e. send) order, so the ledger and the order of
+        // the survivors' resumptions replay exactly.
+        for m in 0..self.msgs.len() {
+            let msg = &mut self.msgs[m];
+            if msg.src.0 != r && msg.dst.0 != r {
+                continue;
             }
+            let Some(fid) = msg.flow.take() else {
+                continue;
+            };
+            self.fluid.remove_flow(fid);
             if self.msgs[m].dst.0 == r {
                 let (sr, sreq) = self.msgs[m].send_req;
                 if !self.msgs[m].eager
@@ -1782,10 +1821,6 @@ impl<'a> SimState<'a> {
     // ---- reporting --------------------------------------------------------------
 
     fn report(&mut self, world: &WorldProgram) -> RunReport {
-        let result_key = match BUF_RESULT {
-            BufKey::Priv(id) => id,
-            _ => unreachable!(),
-        };
         let finish_times: Vec<SimTime> = self
             .ranks
             .iter()
@@ -1803,10 +1838,8 @@ impl<'a> SimState<'a> {
         // scales with the detections actually observed.
         self.stats.undetected_risk = self.stats.corruptions_detected as f64 * 2f64.powi(-32);
         RunReport {
-            result_coverage: self
-                .ranks
-                .iter()
-                .map(|r| r.bufs.get(&result_key).cloned().unwrap_or_default())
+            result_coverage: (0..self.ranks.len() as u32)
+                .map(|r| std::mem::take(self.bufs.get_mut(r, BUF_RESULT)))
                 .collect(),
             finish_times,
             vector_bytes: world.vector_bytes,

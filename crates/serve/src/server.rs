@@ -232,6 +232,15 @@ pub struct ServerState {
     poll: Duration,
 }
 
+/// Record one job's wall time in the `serve.job_us` histogram, in whole
+/// microseconds: jobs typically take ~0.1 ms, which a millisecond
+/// histogram would record as 0.
+fn record_job_time(metrics: &Registry, elapsed: Duration) {
+    metrics
+        .histogram("serve.job_us")
+        .record(elapsed.as_micros() as u64);
+}
+
 impl ServerState {
     fn counter(&self, name: &str) -> std::sync::Arc<dpml_shm::Counter> {
         self.metrics.counter(name)
@@ -834,9 +843,7 @@ impl ServerState {
         self.counter("serve.scenarios_resumed")
             .add(job.ctx.resumed_scenarios.load(Ordering::Relaxed));
         if let Some(started) = started {
-            self.metrics
-                .histogram("serve.job_ms")
-                .record(started.elapsed().as_millis() as u64);
+            record_job_time(&self.metrics, started.elapsed());
         }
         if let Some(client) = &job.client {
             client.inflight.fetch_sub(1, Ordering::AcqRel);
@@ -1444,5 +1451,23 @@ fn conn_loop(state: Arc<ServerState>, stream: TcpStream) {
             }
             Err(_) => return, // torn frame / reset: jobs run on
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sub_millisecond_job_records_a_nonzero_time() {
+        let metrics = Registry::new();
+        record_job_time(&metrics, Duration::from_micros(120));
+        let snap = metrics.snapshot();
+        let h = snap
+            .histograms
+            .iter()
+            .find(|h| h.name == "serve.job_us")
+            .expect("job histogram registered");
+        assert_eq!((h.count, h.sum), (1, 120));
     }
 }

@@ -11,7 +11,7 @@
 //!   `{quantile="0.99"}` samples plus `_sum` and `_count`,
 //! * gauges (queue depth, in-flight, drain flag) are point-in-time.
 //!
-//! Registry names like `serve.job_ms` become `dpml_serve_job_ms`: a
+//! Registry names like `serve.job_us` become `dpml_serve_job_us`: a
 //! `dpml_` namespace prefix, with every non-alphanumeric character
 //! mapped to `_`.
 
@@ -74,15 +74,15 @@ mod tests {
     fn exposition_covers_counters_histograms_and_gauges() {
         let reg = Registry::new();
         reg.counter("serve.cache_hit").add(3);
-        reg.histogram("serve.job_ms").record(10);
+        reg.histogram("serve.job_us").record(10);
         let text = exposition(&reg.snapshot(), &[("serve.queue_depth", 2)]);
         assert!(text.contains("# TYPE dpml_serve_queue_depth gauge\ndpml_serve_queue_depth 2\n"));
         assert!(text
             .contains("# TYPE dpml_serve_cache_hit_total counter\ndpml_serve_cache_hit_total 3\n"));
-        assert!(text.contains("# TYPE dpml_serve_job_ms summary"));
-        assert!(text.contains("dpml_serve_job_ms{quantile=\"0.5\"}"));
-        assert!(text.contains("dpml_serve_job_ms_sum 10"));
-        assert!(text.contains("dpml_serve_job_ms_count 1"));
+        assert!(text.contains("# TYPE dpml_serve_job_us summary"));
+        assert!(text.contains("dpml_serve_job_us{quantile=\"0.5\"}"));
+        assert!(text.contains("dpml_serve_job_us_sum 10"));
+        assert!(text.contains("dpml_serve_job_us_count 1"));
     }
 
     #[test]

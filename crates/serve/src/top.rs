@@ -103,9 +103,9 @@ impl Dashboard {
             c("serve.worker_panic"),
             c("serve.cache_hit"),
         ));
-        if let Some(w) = frame.windows.iter().find(|w| w.name == "serve.job_ms") {
+        if let Some(w) = frame.windows.iter().find(|w| w.name == "serve.job_us") {
             out.push_str(&format!(
-                "job ms (window) p50 {:>6} p99 {:>6}   ({} samples)\n",
+                "job us (window) p50 {:>6} p99 {:>6}   ({} samples)\n",
                 w.p50, w.p99, w.count
             ));
         }
@@ -113,10 +113,10 @@ impl Dashboard {
             .stats
             .histograms
             .iter()
-            .find(|h| h.name == "serve.job_ms")
+            .find(|h| h.name == "serve.job_us")
         {
             out.push_str(&format!(
-                "job ms (total)  p50 {:>6} p99 {:>6}   mean {:>8.1}\n",
+                "job us (total)  p50 {:>6} p99 {:>6}   mean {:>8.1}\n",
                 h.p50, h.p99, h.mean
             ));
         }

@@ -114,9 +114,18 @@ fn metrics_verb_emits_lintable_exposition() {
     let text = c.metrics().unwrap();
     assert!(text.contains("# TYPE dpml_serve_queue_depth gauge"));
     assert!(text.contains("# TYPE dpml_serve_submitted_total counter"));
-    assert!(text.contains("# TYPE dpml_serve_job_ms summary"));
-    assert!(text.contains("dpml_serve_job_ms{quantile=\"0.99\"}"));
+    assert!(text.contains("# TYPE dpml_serve_job_us summary"));
+    assert!(text.contains("dpml_serve_job_us{quantile=\"0.99\"}"));
     assert!(text.contains("dpml_engine_events_total"));
+    // A job shorter than a millisecond (this one, in a release build)
+    // must still register a non-zero time.
+    let stats = c.stats().unwrap();
+    let job = stats
+        .histograms
+        .iter()
+        .find(|h| h.name == "serve.job_us")
+        .expect("job-time histogram");
+    assert!(job.count >= 1 && job.mean > 0.0, "{job:?}");
 
     // Inline lint: the same invariants scripts/metrics_lint.py enforces.
     let mut typed = std::collections::HashSet::new();

@@ -1,9 +1,11 @@
 //! End-to-end failure paths: broken schedules must produce structured,
 //! diagnosable errors through the public facade — never hangs or panics.
 
+use dpml::core::algorithms::Algorithm;
 use dpml::engine::program::BUF_INPUT;
 use dpml::engine::{BufKey, ByteRange, SimConfig, SimError, Simulator, WorldProgram};
 use dpml::fabric::presets::cluster_b;
+use dpml::faults::{FaultPlan, ProcessFaults};
 use dpml::topology::{Rank, RankMap};
 
 fn config(nodes: u32, ppn: u32) -> SimConfig {
@@ -118,4 +120,43 @@ fn time_budget_converts_slow_runs_into_errors() {
         matches!(err, SimError::TimeBudgetExceeded(_)),
         "got {err:?}"
     );
+}
+
+/// A fail-stop crash tears down the dead rank's in-flight transfers in
+/// send order, so the crash ledger — and the order in which survivors
+/// are resumed — is the same on every run, not an artifact of hash-map
+/// iteration. Each run builds a fresh simulator in this process, the
+/// setting in which a per-instance hash seed would show.
+#[test]
+fn crash_ledger_is_identical_across_repeated_runs() {
+    let cfg = config(4, 4);
+    let alg = Algorithm::parse("dpml:4").expect("known algorithm");
+    let world = alg.build(&cfg.map, 1 << 20).expect("dpml:4 builds on 4x4");
+    let clean = Simulator::new(&cfg).run(&world).expect("fault-free run");
+    let plan = FaultPlan {
+        process: ProcessFaults::single(0, 0.5 * clean.makespan().seconds()),
+        ..FaultPlan::zero()
+    };
+    let run = || {
+        Simulator::new(&cfg)
+            .with_faults(&plan)
+            .run(&world)
+            .expect_err("rank 0 dies mid-collective")
+    };
+    let first = run();
+    let SimError::RankDead {
+        rank: 0,
+        ref pending_ops,
+        ..
+    } = first
+    else {
+        panic!("expected rank 0 dead, got {first:?}");
+    };
+    assert!(
+        pending_ops.iter().any(|op| op.what.starts_with("aborted")),
+        "the crash must cut transfers short: {pending_ops:?}"
+    );
+    for i in 1..24 {
+        assert_eq!(run(), first, "run {i} diverged from run 0");
+    }
 }

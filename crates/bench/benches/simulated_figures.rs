@@ -6,7 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dpml_core::algorithms::{Algorithm, FlatAlg};
-use dpml_core::run::run_allreduce;
+use dpml_core::run::{execute, RunRequest};
 use dpml_core::selector::Library;
 use dpml_fabric::presets::{cluster_a, cluster_b, cluster_c};
 use dpml_workloads::app::run_app;
@@ -22,7 +22,7 @@ fn bench_leader_sweep_path(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("dpml_64k", leaders), &leaders, |b, &l| {
             b.iter(|| {
                 black_box(
-                    run_allreduce(
+                    execute(&RunRequest::new(
                         &preset,
                         &spec,
                         Algorithm::Dpml {
@@ -30,7 +30,7 @@ fn bench_leader_sweep_path(c: &mut Criterion) {
                             inner: FlatAlg::RecursiveDoubling,
                         },
                         64 * 1024,
-                    )
+                    ))
                     .unwrap(),
                 )
             });
@@ -48,7 +48,7 @@ fn bench_library_dispatch_path(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("lib_64k", lib.name()), &lib, |b, lib| {
             b.iter(|| {
                 let alg = lib.choose(&preset, &spec, 64 * 1024);
-                black_box(run_allreduce(&preset, &spec, alg, 64 * 1024).unwrap())
+                black_box(execute(&RunRequest::new(&preset, &spec, alg, 64 * 1024)).unwrap())
             });
         });
     }
@@ -62,7 +62,15 @@ fn bench_sharp_path(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("sharp_socket_256b", |b| {
         b.iter(|| {
-            black_box(run_allreduce(&preset, &spec, Algorithm::SharpSocketLeader, 256).unwrap())
+            black_box(
+                execute(&RunRequest::new(
+                    &preset,
+                    &spec,
+                    Algorithm::SharpSocketLeader,
+                    256,
+                ))
+                .unwrap(),
+            )
         });
     });
     g.finish();

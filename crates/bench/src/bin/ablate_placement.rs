@@ -10,7 +10,7 @@
 
 use dpml_bench::{arg_num, fmt_bytes, fmt_us, save_results, Table};
 use dpml_core::algorithms::{Algorithm, FlatAlg};
-use dpml_core::run::run_allreduce_placed;
+use dpml_core::run::{execute, RunRequest};
 use dpml_fabric::presets::cluster_b;
 use dpml_topology::Placement;
 use serde::Serialize;
@@ -49,12 +49,13 @@ fn main() {
     ]);
     for alg in algs {
         for bytes in [4 * 1024u64, 256 * 1024] {
-            let block = run_allreduce_placed(&preset, &spec, Placement::Block, alg, bytes)
-                .expect("block run")
-                .latency_us;
-            let cyclic = run_allreduce_placed(&preset, &spec, Placement::Cyclic, alg, bytes)
-                .expect("cyclic run")
-                .latency_us;
+            let block = RunRequest::new(&preset, &spec, alg, bytes);
+            let cyclic = RunRequest {
+                placement: Placement::Cyclic,
+                ..block
+            };
+            let block = execute(&block).expect("block run").latency_us;
+            let cyclic = execute(&cyclic).expect("cyclic run").latency_us;
             table.row([
                 alg.name(),
                 fmt_bytes(bytes),

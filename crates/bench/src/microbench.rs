@@ -1,8 +1,9 @@
 //! The `osu_mbw_mr`-equivalent multi-pair bandwidth microbenchmark
 //! (paper Section 3), shared by `fig1` and `ablate_fairness`.
 
+use dpml_core::run::{simulate, RunOpts};
 use dpml_engine::program::{BufKey, ByteRange, WorldProgram, BUF_INPUT};
-use dpml_engine::{CriticalPath, SimConfig, Simulator};
+use dpml_engine::{CriticalPath, RunReport};
 use dpml_fabric::Preset;
 use dpml_topology::{LocalRank, NodeId, RankMap};
 
@@ -17,15 +18,16 @@ pub enum PairPlacement {
     InterNode,
 }
 
-/// Build the `osu_mbw_mr` schedule: `pairs` concurrent streams each sending
-/// a window of `window` messages of `bytes`.
-fn multi_pair_program(
+/// Simulate the `osu_mbw_mr` schedule: `pairs` concurrent streams each
+/// sending a window of `window` messages of `bytes`.
+fn run_multi_pair(
     preset: &Preset,
     placement: PairPlacement,
     pairs: u32,
     bytes: u64,
     window: u32,
-) -> (SimConfig, WorldProgram) {
+    trace: bool,
+) -> RunReport {
     assert!(pairs >= 1 && window >= 1);
     let cores = preset.sockets_per_node * preset.cores_per_socket;
     let (nodes, ppn) = match placement {
@@ -34,8 +36,6 @@ fn multi_pair_program(
     };
     let spec = preset.spec(nodes, ppn.min(cores)).expect("bench spec");
     let map = RankMap::block(&spec);
-    let cfg =
-        SimConfig::new(map.clone(), preset.fabric.clone(), preset.switch).expect("bench topology");
     let mut w = WorldProgram::new(map.world_size(), bytes.max(1));
     let half = spec.ppn / 2;
     for i in 0..pairs {
@@ -63,7 +63,7 @@ fn multi_pair_program(
             .collect();
         dp.wait_all(reqs);
     }
-    (cfg, w)
+    simulate(preset, &map, &w, &RunOpts::default(), None, trace).expect("bandwidth program")
 }
 
 /// Aggregate throughput (bytes/second) of `pairs` concurrent streams each
@@ -75,8 +75,7 @@ pub fn multi_pair_bw(
     bytes: u64,
     window: u32,
 ) -> f64 {
-    let (cfg, w) = multi_pair_program(preset, placement, pairs, bytes, window);
-    let rep = Simulator::new(&cfg).run(&w).expect("bandwidth program");
+    let rep = run_multi_pair(preset, placement, pairs, bytes, window, false);
     let total = pairs as u64 * window as u64 * bytes;
     total as f64 / rep.makespan().seconds()
 }
@@ -90,11 +89,7 @@ pub fn multi_pair_critical_path(
     bytes: u64,
     window: u32,
 ) -> CriticalPath {
-    let (cfg, w) = multi_pair_program(preset, placement, pairs, bytes, window);
-    let rep = Simulator::new(&cfg)
-        .with_trace()
-        .run(&w)
-        .expect("bandwidth program");
+    let rep = run_multi_pair(preset, placement, pairs, bytes, window, true);
     let trace = rep.trace.as_ref().expect("traced run carries a trace");
     CriticalPath::from_trace(
         trace,

@@ -22,7 +22,7 @@
 //! from the stored cells and rejects any checkpoint whose cursor does
 //! not reproduce.
 
-use crate::run::{AllreduceReport, RunError};
+use crate::run::{execute_batch, AllreduceReport, RunError, RunOpts, RunRequest};
 use dpml_fabric::Preset;
 use dpml_faults::splitmix64;
 use dpml_topology::ClusterSpec;
@@ -261,10 +261,7 @@ impl SweepCheckpoint {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ChunkControl {
     /// Run the next chunk under the given engine budgets.
-    Proceed {
-        event_budget: Option<u64>,
-        time_budget_s: Option<f64>,
-    },
+    Proceed(RunOpts),
     /// Stop before the next chunk (cancellation, deadline, shutdown).
     Stop,
 }
@@ -304,24 +301,22 @@ pub fn run_allreduce_checkpointed(
     );
     let chunk = ckpt.chunk.max(1) as usize;
     while (ckpt.next_index as usize) < scenarios.len() {
-        let opts = match control(ckpt) {
-            ChunkControl::Stop => return SweepEnd::Stopped,
-            ChunkControl::Proceed {
-                event_budget,
-                time_budget_s,
-            } => crate::run::RunOpts {
-                event_budget,
-                time_budget_s,
-            },
+        let ChunkControl::Proceed(opts) = control(ckpt) else {
+            return SweepEnd::Stopped;
         };
         let start = ckpt.next_index as usize;
         let end = (start + chunk).min(scenarios.len());
-        let batch = &scenarios[start..end];
-        let results = crate::run::run_allreduce_batch_with(preset, spec, batch, &opts);
-        let cells = batch
+        let reqs: Vec<RunRequest> = scenarios[start..end]
             .iter()
-            .zip(results.iter())
-            .map(|(&(alg, bytes), res)| ScenarioCell::from_result(alg.name(), bytes, res))
+            .map(|&(alg, bytes)| RunRequest {
+                opts,
+                ..RunRequest::new(preset, spec, alg, bytes)
+            })
+            .collect();
+        let cells = reqs
+            .iter()
+            .zip(execute_batch(&reqs))
+            .map(|(req, res)| ScenarioCell::from_result(req.alg.name(), req.bytes, &res))
             .collect();
         ckpt.advance(cells);
         on_checkpoint(ckpt);
@@ -366,10 +361,10 @@ mod tests {
             &mut ckpt,
             |ck| match stop_after {
                 Some(n) if ck.next_index >= n => ChunkControl::Stop,
-                _ => ChunkControl::Proceed {
+                _ => ChunkControl::Proceed(RunOpts {
                     event_budget: None,
                     time_budget_s: Some(10.0),
-                },
+                }),
             },
             |_| {},
         );
@@ -405,9 +400,11 @@ mod tests {
                 &spec,
                 &scen,
                 &mut partial,
-                |_| ChunkControl::Proceed {
-                    event_budget: None,
-                    time_budget_s: Some(10.0),
+                |_| {
+                    ChunkControl::Proceed(RunOpts {
+                        event_budget: None,
+                        time_budget_s: Some(10.0),
+                    })
                 },
                 |_| executed += 1,
             );
@@ -461,9 +458,11 @@ mod tests {
             &spec,
             &scen,
             &mut ckpt,
-            |_| ChunkControl::Proceed {
-                event_budget: Some(3),
-                time_budget_s: None,
+            |_| {
+                ChunkControl::Proceed(RunOpts {
+                    event_budget: Some(3),
+                    time_budget_s: None,
+                })
             },
             |_| {},
         );

@@ -40,10 +40,9 @@
 
 use crate::algorithms::flat::emit_flat_range;
 use crate::algorithms::{Algorithm, FlatAlg};
-use crate::resilience::run_allreduce_faulted;
-use crate::run::{AllreduceReport, RunError};
+use crate::run::{execute, simulate, AllreduceReport, RunError, RunOpts, RunRequest};
 use dpml_engine::program::{BufKey, ByteRange, ProgramBuilder, BUF_RESULT};
-use dpml_engine::{CoverageMap, Instr, PendingOp, SimConfig, SimError, Simulator, WorldProgram};
+use dpml_engine::{CoverageMap, Instr, PendingOp, SimError, WorldProgram};
 use dpml_fabric::Preset;
 use dpml_faults::{FaultPlan, ProcessFaults};
 use dpml_topology::{ClusterSpec, LeaderPolicy, LeaderSet, NodeId, Rank, RankMap};
@@ -154,40 +153,33 @@ pub fn run_dpml_failstop(
     plan: &FaultPlan,
 ) -> Result<FailstopOutcome, RunError> {
     let alg = Algorithm::Dpml { leaders, inner };
-    match run_allreduce_faulted(preset, spec, alg, bytes, plan) {
+    let req = RunRequest {
+        faults: Some((plan, 0)),
+        ..RunRequest::new(preset, spec, alg, bytes)
+    };
+    match execute(&req) {
         Ok(report) => Ok(FailstopOutcome::Clean { report }),
         Err(RunError::Sim(SimError::RankDead {
             rank,
             time,
             pending_ops,
-        })) => heal_after_crash(
-            preset,
-            spec,
-            leaders,
-            inner,
-            bytes,
-            plan,
-            rank,
-            time,
-            &pending_ops,
-        ),
+        })) => heal_after_crash(&req, leaders, inner, plan, rank, time, &pending_ops),
         Err(e) => Err(e),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Recover the DPML run `req` (run under `plan`) after `first_rank` died
+/// at `time`: heal it from the surviving deposits, or cold-restart it.
 fn heal_after_crash(
-    preset: &Preset,
-    spec: &ClusterSpec,
+    req: &RunRequest,
     leaders: u32,
     inner: FlatAlg,
-    bytes: u64,
     plan: &FaultPlan,
     first_rank: u32,
     time: f64,
     pending_ops: &[PendingOp],
 ) -> Result<FailstopOutcome, RunError> {
-    let alg = Algorithm::Dpml { leaders, inner };
+    let (alg, bytes, spec) = (req.alg, req.bytes, req.spec);
     // The continuation (and the hypothetical restart) run after the
     // crash; they see the plan's noise and link faults but no further
     // process deaths.
@@ -195,7 +187,10 @@ fn heal_after_crash(
         process: ProcessFaults::default(),
         ..plan.clone()
     };
-    let clean = run_allreduce_faulted(preset, spec, alg, bytes, &scrubbed)?;
+    let clean = execute(&RunRequest {
+        faults: Some((&scrubbed, 0)),
+        ..*req
+    })?;
     let detected_at_us = (time + plan.process.detection_timeout) * 1e6;
     let cold_restart_latency_us = detected_at_us + clean.latency_us;
 
@@ -211,7 +206,7 @@ fn heal_after_crash(
     dead.sort_unstable();
     dead.dedup();
 
-    let map = RankMap::block(spec);
+    let map = req.map();
     let cold = |reason: String, dead: &[u32]| FailstopOutcome::ColdRestart {
         report: clean.clone(),
         recovery: RecoveryReport {
@@ -276,8 +271,8 @@ fn heal_after_crash(
         .collect();
 
     let cont = build_continuation(&map, &set, &healed, &parts, bytes, &dead, &affected, inner);
-    let cfg = SimConfig::new(map.clone(), preset.fabric.clone(), preset.switch)?;
-    let report = Simulator::new(&cfg).with_faults(&scrubbed).run(&cont)?;
+    let faults = Some((&scrubbed, 0));
+    let report = simulate(req.preset, &map, &cont, &RunOpts::default(), faults, false)?;
     report.verify_allreduce_excluding(&dead)?;
 
     let mut replanned: Vec<u32> = affected
@@ -500,7 +495,7 @@ mod tests {
             leaders: 2,
             inner: FlatAlg::RecursiveDoubling,
         };
-        let clean = crate::run::run_allreduce(&p, &spec, alg, 64 * 1024).unwrap();
+        let clean = execute(&RunRequest::new(&p, &spec, alg, 64 * 1024)).unwrap();
         let out = run_dpml_failstop(
             &p,
             &spec,
@@ -526,7 +521,7 @@ mod tests {
             inner: FlatAlg::RecursiveDoubling,
         };
         // Crash mid-phase-3: past the deposits, before completion.
-        let clean_us = crate::run::run_allreduce(&p, &spec, alg, 1 << 20)
+        let clean_us = execute(&RunRequest::new(&p, &spec, alg, 1 << 20))
             .unwrap()
             .latency_us;
         // Rank 6 = node 1, local 2 = leader index 1 under PerNode(2)
@@ -568,7 +563,7 @@ mod tests {
             leaders: 2,
             inner: FlatAlg::RecursiveDoubling,
         };
-        let clean_us = crate::run::run_allreduce(&p, &spec, alg, 1 << 18)
+        let clean_us = execute(&RunRequest::new(&p, &spec, alg, 1 << 18))
             .unwrap()
             .latency_us;
         // Rank 3 = node 0, local 3: not a leader under PerNode(2).
@@ -644,12 +639,12 @@ mod tests {
             FlatAlg::Rabenseifner,
             FlatAlg::Ring,
         ] {
-            let clean_us = crate::run::run_allreduce(
+            let clean_us = execute(&RunRequest::new(
                 &p,
                 &spec,
                 Algorithm::Dpml { leaders: 4, inner },
                 1 << 20,
-            )
+            ))
             .unwrap()
             .latency_us;
             let out = run_dpml_failstop(

@@ -37,12 +37,11 @@
 
 use crate::algorithms::{Algorithm, FlatAlg};
 use crate::heal::{build_continuation, REPLAN_BASE_US, REPLAN_PER_RANK_US};
-use crate::run::RunError;
+use crate::run::{simulate, RunError, RunOpts};
 use dpml_engine::program::ByteRange;
-use dpml_engine::{Phase, RunReport, SimConfig, SimError, Simulator, WorldProgram};
+use dpml_engine::{Phase, RunReport, SimError, WorldProgram};
 use dpml_fabric::Preset;
 use dpml_faults::{DataFaults, FaultPlan, ProcessFaults};
-use dpml_sharp::SharpFabric;
 use dpml_topology::{ClusterSpec, LeaderPolicy, Rank, RankMap};
 use serde::{Deserialize, Serialize};
 
@@ -321,8 +320,8 @@ pub fn run_allreduce_verified(
         process: ProcessFaults::default(),
         ..plan.clone()
     };
-    let base = run_world(preset, &map, alg, &base_world, &scrubbed, 0)?;
-    let clean = run_world(preset, &map, alg, &world, &scrubbed, 0)?;
+    let base = run_world(preset, &map, &base_world, &scrubbed, 0)?;
+    let clean = run_world(preset, &map, &world, &scrubbed, 0)?;
     clean.verify_allreduce().map_err(RunError::Verify)?;
     let baselines = Baselines {
         base_latency_us: base.latency_us(),
@@ -333,7 +332,7 @@ pub fn run_allreduce_verified(
     let mut restarts = 0u32;
     loop {
         let attempt_plan = reseed(plan, restarts);
-        match run_world(preset, &map, alg, &world, &attempt_plan, restarts) {
+        match run_world(preset, &map, &world, &attempt_plan, restarts) {
             Ok(report) => {
                 let total = penalty_us + report.latency_us();
                 return finish(alg, bytes, report, &clean, baselines, total, restarts, None);
@@ -428,7 +427,7 @@ fn recover_partition(
     let mut rec_penalty_us = 0.0;
     for pass in 0..policy.max_recovery_passes {
         let pass_plan = reseed(plan, RECOVERY_ROUND_BASE + pass);
-        match run_world(preset, map, alg, &cont, &pass_plan, pass) {
+        match run_world(preset, map, &cont, &pass_plan, pass) {
             Ok(report) => {
                 let total =
                     penalty_us + detected_at_us + replan_us + rec_penalty_us + report.latency_us();
@@ -512,7 +511,7 @@ fn finish(
 /// Restart rounds and recovery passes must see fresh fault draws, or a
 /// re-run would hit the identical failure forever. Keep round 0 the
 /// original plan so a clean first attempt stays bit-identical to
-/// [`crate::resilience::run_allreduce_faulted`].
+/// [`crate::run::execute`] under the same plan.
 fn reseed(plan: &FaultPlan, round: u32) -> FaultPlan {
     if round == 0 {
         return plan.clone();
@@ -555,30 +554,22 @@ fn results_match(a: &RunReport, b: &RunReport) -> bool {
             })
 }
 
+/// One attempt of a self-verifying world under `plan`.
 fn run_world(
     preset: &Preset,
     map: &RankMap,
-    alg: Algorithm,
     world: &WorldProgram,
     plan: &FaultPlan,
     attempt: u32,
 ) -> Result<RunReport, RunError> {
-    let cfg = SimConfig::new(map.clone(), preset.fabric.clone(), preset.switch)?;
-    let report = if alg.needs_sharp() {
-        let params = preset.fabric.sharp.ok_or(RunError::NoSharpOnFabric)?;
-        let oracle = SharpFabric::new(params, cfg.tree.clone(), map.clone());
-        Simulator::new(&cfg)
-            .with_sharp(&oracle)
-            .with_faults(plan)
-            .with_fault_attempt(attempt)
-            .run(world)?
-    } else {
-        Simulator::new(&cfg)
-            .with_faults(plan)
-            .with_fault_attempt(attempt)
-            .run(world)?
-    };
-    Ok(report)
+    simulate(
+        preset,
+        map,
+        world,
+        &RunOpts::default(),
+        Some((plan, attempt)),
+        false,
+    )
 }
 
 #[cfg(test)]

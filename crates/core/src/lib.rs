@@ -25,7 +25,6 @@
 
 pub mod algorithms;
 pub mod checkpoint;
-pub mod collectives;
 pub mod heal;
 pub mod integrity;
 pub mod profile;
@@ -45,8 +44,6 @@ pub use integrity::{
     LadderRung, PartitionRecovery, VerifiedError,
 };
 pub use profile::{profile_allreduce, CostBreakdown, PhaseBreakdown, ProfileReport, ProfiledRun};
-pub use resilience::{
-    run_allreduce_faulted, run_allreduce_resilient, FaultPolicy, ResilientReport,
-};
-pub use run::{run_allreduce, run_allreduce_with, AllreduceReport, RunOpts};
+pub use resilience::{run_allreduce_resilient, FaultPolicy, ResilientReport};
+pub use run::{execute, execute_batch, simulate, AllreduceReport, RunError, RunOpts, RunRequest};
 pub use selector::{FabricHealth, Library};

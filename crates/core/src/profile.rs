@@ -1,7 +1,7 @@
 //! One-call critical-path profiling: run a traced collective and decompose
 //! its makespan into algorithm phases and bottleneck costs.
 //!
-//! [`profile_allreduce`] is [`crate::run_allreduce`] with tracing enabled:
+//! [`profile_allreduce`] is [`crate::execute`] with tracing enabled:
 //! the engine records every span, message and release edge, the
 //! critical-path walker ([`dpml_engine::CriticalPath`]) attributes the
 //! makespan to {latency, injection, message rate, per-flow bandwidth,
@@ -10,11 +10,10 @@
 //! `results/profile.json`.
 
 use crate::algorithms::Algorithm;
-use crate::run::RunError;
-use dpml_engine::{CostKind, CriticalPath, Phase, RunReport, SimConfig, Simulator, Zone};
+use crate::run::{execute, RunError, RunRequest};
+use dpml_engine::{CostKind, CriticalPath, Phase, RunReport, Zone};
 use dpml_fabric::Preset;
-use dpml_sharp::SharpFabric;
-use dpml_topology::{ClusterSpec, RankMap};
+use dpml_topology::ClusterSpec;
 use serde::{Deserialize, Serialize};
 
 /// Time attributed to one algorithm phase.
@@ -88,20 +87,11 @@ pub fn profile_allreduce(
     alg: Algorithm,
     bytes: u64,
 ) -> Result<ProfiledRun, RunError> {
-    let map = RankMap::block(spec);
-    let cfg = SimConfig::new(map.clone(), preset.fabric.clone(), preset.switch)?;
-    let world = alg.build(&map, bytes)?;
-    let report = if alg.needs_sharp() {
-        let params = preset.fabric.sharp.ok_or(RunError::NoSharpOnFabric)?;
-        let oracle = SharpFabric::new(params, cfg.tree.clone(), map);
-        Simulator::new(&cfg)
-            .with_sharp(&oracle)
-            .with_trace()
-            .run(&world)?
-    } else {
-        Simulator::new(&cfg).with_trace().run(&world)?
-    };
-    report.verify_allreduce()?;
+    let report = execute(&RunRequest {
+        trace: true,
+        ..RunRequest::new(preset, spec, alg, bytes)
+    })?
+    .report;
 
     let trace = report.trace.as_ref().expect("traced run carries a trace");
     let makespan = report.makespan().seconds();

@@ -20,12 +20,11 @@
 //! accounted into [`ResilientReport::latency_us`].
 
 use crate::algorithms::{Algorithm, FlatAlg};
-use crate::run::{AllreduceReport, RunError};
-use dpml_engine::{SimConfig, SimError, Simulator};
+use crate::run::{execute, AllreduceReport, RunError, RunRequest};
+use dpml_engine::SimError;
 use dpml_fabric::Preset;
 use dpml_faults::FaultPlan;
-use dpml_sharp::SharpFabric;
-use dpml_topology::{ClusterSpec, RankMap};
+use dpml_topology::ClusterSpec;
 use serde::{Deserialize, Serialize};
 
 /// Retry/backoff policy for SHArP resource faults.
@@ -64,20 +63,6 @@ pub struct ResilientReport {
     pub latency_us: f64,
 }
 
-/// Run `alg` under `plan` with no degradation machinery: one attempt,
-/// fault effects (noise, link degradation, SHArP faults) applied, errors
-/// surfaced as-is. The zero plan reproduces [`crate::run::run_allreduce`]
-/// bit-for-bit.
-pub fn run_allreduce_faulted(
-    preset: &Preset,
-    spec: &ClusterSpec,
-    alg: Algorithm,
-    bytes: u64,
-    plan: &FaultPlan,
-) -> Result<AllreduceReport, RunError> {
-    simulate_attempt(preset, spec, alg, bytes, plan, 0)
-}
-
 /// Run `alg` under `plan` with the full degradation ladder described in
 /// the module docs. The returned report always verifies.
 pub fn run_allreduce_resilient(
@@ -88,33 +73,40 @@ pub fn run_allreduce_resilient(
     plan: &FaultPlan,
     policy: FaultPolicy,
 ) -> Result<ResilientReport, RunError> {
+    let req = RunRequest {
+        faults: Some((plan, 0)),
+        ..RunRequest::new(preset, spec, alg, bytes)
+    };
     if !alg.needs_sharp() {
-        let report = simulate_attempt(preset, spec, alg, bytes, plan, 0)?;
-        return Ok(finish(report, 0, false, 0.0));
+        return Ok(finish(execute(&req)?, 0, false, 0.0));
     }
 
     // SHArP path. Group denial is permanent: skip straight to fallback.
     if plan.sharp.deny_groups {
-        return fallback(preset, spec, alg, bytes, plan, 0, 0.0);
+        return fallback(&req, 0, 0.0);
     }
 
     let mut retries = 0u32;
     let mut penalty_us = 0.0;
     loop {
-        match simulate_attempt(preset, spec, alg, bytes, plan, retries) {
+        let attempt = RunRequest {
+            faults: Some((plan, retries)),
+            ..req
+        };
+        match execute(&attempt) {
             Ok(report) => return Ok(finish(report, retries, false, penalty_us)),
             Err(RunError::Sim(SimError::SharpTimeout { .. })) => {
                 // The failed attempt sat on the fabric for the full op
                 // timeout; the retry then waits out the backoff.
                 penalty_us += plan.sharp.op_timeout * 1e6;
                 if retries >= policy.max_sharp_retries {
-                    return fallback(preset, spec, alg, bytes, plan, retries, penalty_us);
+                    return fallback(&req, retries, penalty_us);
                 }
                 penalty_us += policy.backoff_us * f64::from(1u32 << retries.min(20));
                 retries += 1;
             }
             Err(RunError::Sim(SimError::SharpDenied(_))) => {
-                return fallback(preset, spec, alg, bytes, plan, retries, penalty_us);
+                return fallback(&req, retries, penalty_us);
             }
             Err(other) => return Err(other),
         }
@@ -134,22 +126,15 @@ pub fn host_fallback_algorithm(spec: &ClusterSpec) -> Algorithm {
     }
 }
 
-fn fallback(
-    preset: &Preset,
-    spec: &ClusterSpec,
-    requested: Algorithm,
-    bytes: u64,
-    plan: &FaultPlan,
-    retries: u32,
-    penalty_us: f64,
-) -> Result<ResilientReport, RunError> {
-    let host = host_fallback_algorithm(spec);
+/// Run the host fallback for `req` (first attempt of its fault plan).
+fn fallback(req: &RunRequest, retries: u32, penalty_us: f64) -> Result<ResilientReport, RunError> {
+    let host = host_fallback_algorithm(req.spec);
     debug_assert!(!host.needs_sharp(), "fallback must not require SHArP");
-    let mut report = simulate_attempt(preset, spec, host, bytes, plan, 0)?;
+    let mut report = execute(&RunRequest { alg: host, ..*req })?;
     // The report records the *requested* algorithm so result tables stay
     // keyed by what the caller asked for; `completed_with` carries the
     // substitute.
-    report.algorithm = requested.name();
+    report.algorithm = req.alg.name();
     Ok(finish_with(report, host.name(), retries, true, penalty_us))
 }
 
@@ -182,42 +167,6 @@ fn finish_with(
     }
 }
 
-/// One simulation attempt with faults applied; mirrors
-/// [`crate::run::run_allreduce_placed`] plus the fault plumbing.
-fn simulate_attempt(
-    preset: &Preset,
-    spec: &ClusterSpec,
-    alg: Algorithm,
-    bytes: u64,
-    plan: &FaultPlan,
-    attempt: u32,
-) -> Result<AllreduceReport, RunError> {
-    let map = RankMap::block(spec);
-    let cfg = SimConfig::new(map.clone(), preset.fabric.clone(), preset.switch)?;
-    let world = alg.build(&map, bytes)?;
-    let report = if alg.needs_sharp() {
-        let params = preset.fabric.sharp.ok_or(RunError::NoSharpOnFabric)?;
-        let oracle = SharpFabric::new(params, cfg.tree.clone(), map);
-        Simulator::new(&cfg)
-            .with_sharp(&oracle)
-            .with_faults(plan)
-            .with_fault_attempt(attempt)
-            .run(&world)?
-    } else {
-        Simulator::new(&cfg)
-            .with_faults(plan)
-            .with_fault_attempt(attempt)
-            .run(&world)?
-    };
-    report.verify_allreduce()?;
-    Ok(AllreduceReport {
-        algorithm: alg.name(),
-        bytes,
-        latency_us: report.latency_us(),
-        report,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,8 +181,14 @@ mod tests {
             leaders: 2,
             inner: FlatAlg::RecursiveDoubling,
         };
-        let clean = crate::run::run_allreduce(&p, &spec, alg, 32 * 1024).unwrap();
-        let faulted = run_allreduce_faulted(&p, &spec, alg, 32 * 1024, &FaultPlan::zero()).unwrap();
+        let clean = RunRequest::new(&p, &spec, alg, 32 * 1024);
+        let zero = FaultPlan::zero();
+        let faulted = execute(&RunRequest {
+            faults: Some((&zero, 0)),
+            ..clean
+        })
+        .unwrap();
+        let clean = execute(&clean).unwrap();
         assert_eq!(clean.latency_us.to_bits(), faulted.latency_us.to_bits());
         assert_eq!(clean.report, faulted.report);
     }

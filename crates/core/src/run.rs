@@ -1,14 +1,19 @@
-//! One-call convenience wrapper: compile, simulate, verify.
+//! The one run path: a [`RunRequest`] names a scenario, [`execute`]
+//! compiles, simulates and verifies it, and [`execute_batch`] runs many
+//! in parallel. The resilience, integrity, healing, profiling and
+//! checkpointed-sweep policies are built on these two and on
+//! [`simulate`], the single place a simulator is set up.
 
 use crate::algorithms::Algorithm;
-use dpml_engine::{RunReport, SimConfig, Simulator};
+use dpml_engine::{RunReport, SimConfig, Simulator, WorldProgram};
 use dpml_fabric::Preset;
+use dpml_faults::FaultPlan;
 use dpml_sharp::SharpFabric;
 use dpml_topology::{ClusterSpec, Placement, RankMap};
 use serde::{Deserialize, Serialize};
 
-/// Engine abort budgets shared by every run entry point. `Default` is an
-/// unbudgeted run.
+/// Engine abort budgets of a [`RunRequest`]. `Default` is an unbudgeted
+/// run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunOpts {
     /// Abort with `EventBudgetExceeded` after this many events.
@@ -30,7 +35,7 @@ pub struct AllreduceReport {
     pub report: RunReport,
 }
 
-/// Error from [`run_allreduce`].
+/// Error from [`execute`] and [`simulate`].
 #[derive(Debug)]
 pub enum RunError {
     /// The cluster/switch description itself was invalid.
@@ -83,163 +88,122 @@ impl From<dpml_engine::VerifyError> for RunError {
     }
 }
 
-/// Compile `alg` for `bytes` on the given cluster, simulate it, verify the
-/// result, and report the latency. Uses the paper's block rank placement.
-pub fn run_allreduce(
-    preset: &Preset,
-    spec: &ClusterSpec,
-    alg: Algorithm,
-    bytes: u64,
-) -> Result<AllreduceReport, RunError> {
-    run_allreduce_placed(preset, spec, Placement::Block, alg, bytes)
+/// One scenario and how to run it: a cluster, a rank placement, an
+/// algorithm and a message size, plus the engine budgets, an optional
+/// fault plan and whether to record a timeline. [`RunRequest::new`] gives
+/// the paper's setting (block placement, no budget, no faults, no trace);
+/// override fields with struct-update syntax.
+#[derive(Debug, Clone, Copy)]
+pub struct RunRequest<'a> {
+    /// Cluster preset: fabric speeds and switch tree.
+    pub preset: &'a Preset,
+    /// Cluster shape.
+    pub spec: &'a ClusterSpec,
+    /// The algorithm to compile.
+    pub alg: Algorithm,
+    /// Message size in bytes.
+    pub bytes: u64,
+    /// Rank placement (block vs cyclic).
+    pub placement: Placement,
+    /// Engine abort budgets.
+    pub opts: RunOpts,
+    /// Fault plan and the retry attempt it applies to (see
+    /// [`dpml_faults::SharpFaults::flaky_attempts`]). A zero plan
+    /// reproduces the unfaulted run bit for bit.
+    pub faults: Option<(&'a FaultPlan, u32)>,
+    /// Record a full execution timeline in `report.trace`.
+    pub trace: bool,
 }
 
-/// Run a batch of independent `(algorithm, bytes)` scenarios across
-/// worker threads. Each scenario is a closed world (own `SimConfig`, own
-/// schedule), so results are byte-identical to running [`run_allreduce`]
-/// serially — and they return in input order regardless of completion
-/// order (DESIGN.md §11). This is the parallel entry point behind the
-/// CLI `sweep` subcommand; the bench binaries use the more general
-/// `dpml_bench::sweep` runner.
-pub fn run_allreduce_batch(
-    preset: &Preset,
-    spec: &ClusterSpec,
-    scenarios: Vec<(Algorithm, u64)>,
-) -> Vec<Result<AllreduceReport, RunError>> {
-    use rayon::prelude::*;
-    scenarios
-        .into_par_iter()
-        .map(|(alg, bytes)| run_allreduce(preset, spec, alg, bytes))
-        .collect()
-}
-
-/// [`run_allreduce_budgeted`] over a scenario chunk, executed on the
-/// scenario-parallel runner (order-preserving). `dpml-serve` routes each
-/// sweep chunk through this instead of simulating one scenario at a time
-/// on the worker thread, keeping its cancel/deadline checkpoints at the
-/// chunk boundaries.
-pub fn run_allreduce_batch_budgeted(
-    preset: &Preset,
-    spec: &ClusterSpec,
-    scenarios: &[(Algorithm, u64)],
-    event_budget: Option<u64>,
-    time_budget_s: Option<f64>,
-) -> Vec<Result<AllreduceReport, RunError>> {
-    run_allreduce_batch_with(
-        preset,
-        spec,
-        scenarios,
-        &RunOpts {
-            event_budget,
-            time_budget_s,
-        },
-    )
-}
-
-/// [`run_allreduce_with`] over a scenario chunk on the scenario-parallel
-/// runner (order-preserving).
-pub fn run_allreduce_batch_with(
-    preset: &Preset,
-    spec: &ClusterSpec,
-    scenarios: &[(Algorithm, u64)],
-    opts: &RunOpts,
-) -> Vec<Result<AllreduceReport, RunError>> {
-    use rayon::prelude::*;
-    scenarios
-        .to_vec()
-        .into_par_iter()
-        .map(|(alg, bytes)| run_allreduce_with(preset, spec, alg, bytes, opts))
-        .collect()
-}
-
-/// [`run_allreduce`] with optional engine budgets: the simulation aborts
-/// with [`RunError::Sim`] (`EventBudgetExceeded` / `TimeBudgetExceeded`)
-/// instead of running to completion once either budget is exhausted.
-/// `dpml-serve` maps job deadlines onto these budgets so a runaway
-/// scenario cannot pin a worker forever.
-pub fn run_allreduce_budgeted(
-    preset: &Preset,
-    spec: &ClusterSpec,
-    alg: Algorithm,
-    bytes: u64,
-    event_budget: Option<u64>,
-    time_budget_s: Option<f64>,
-) -> Result<AllreduceReport, RunError> {
-    run_allreduce_with(
-        preset,
-        spec,
-        alg,
-        bytes,
-        &RunOpts {
-            event_budget,
-            time_budget_s,
-        },
-    )
-}
-
-/// [`run_allreduce`] under explicit [`RunOpts`] abort budgets. All other
-/// entry points are wrappers over this (block placement) or
-/// [`run_allreduce_placed`].
-pub fn run_allreduce_with(
-    preset: &Preset,
-    spec: &ClusterSpec,
-    alg: Algorithm,
-    bytes: u64,
-    opts: &RunOpts,
-) -> Result<AllreduceReport, RunError> {
-    run_opted(preset, spec, Placement::Block, alg, bytes, opts)
-}
-
-/// [`run_allreduce`] with an explicit rank placement (block vs cyclic) —
-/// used by the placement ablation: flat algorithms degrade badly under
-/// cyclic placement while DPML's node-aware structure does not.
-pub fn run_allreduce_placed(
-    preset: &Preset,
-    spec: &ClusterSpec,
-    placement: Placement,
-    alg: Algorithm,
-    bytes: u64,
-) -> Result<AllreduceReport, RunError> {
-    run_opted(preset, spec, placement, alg, bytes, &RunOpts::default())
-}
-
-fn run_opted(
-    preset: &Preset,
-    spec: &ClusterSpec,
-    placement: Placement,
-    alg: Algorithm,
-    bytes: u64,
-    opts: &RunOpts,
-) -> Result<AllreduceReport, RunError> {
-    let map = match placement {
-        Placement::Block => RankMap::block(spec),
-        Placement::Cyclic => RankMap::cyclic(spec),
-    };
-    let cfg = SimConfig::new(map.clone(), preset.fabric.clone(), preset.switch)?;
-    let world = alg.build(&map, bytes)?;
-    fn opted<'a>(mut sim: Simulator<'a>, opts: &RunOpts) -> Simulator<'a> {
-        if let Some(events) = opts.event_budget {
-            sim = sim.with_event_budget(events);
+impl<'a> RunRequest<'a> {
+    /// The paper's setting: block placement, unbudgeted, fault-free,
+    /// untraced.
+    pub fn new(preset: &'a Preset, spec: &'a ClusterSpec, alg: Algorithm, bytes: u64) -> Self {
+        RunRequest {
+            preset,
+            spec,
+            alg,
+            bytes,
+            placement: Placement::Block,
+            opts: RunOpts::default(),
+            faults: None,
+            trace: false,
         }
-        if let Some(s) = opts.time_budget_s {
-            sim = sim.with_time_budget(s);
-        }
-        sim
     }
-    let report = if alg.needs_sharp() {
-        let params = preset.fabric.sharp.ok_or(RunError::NoSharpOnFabric)?;
-        let oracle = SharpFabric::new(params, cfg.tree.clone(), map);
-        opted(Simulator::new(&cfg).with_sharp(&oracle), opts).run(&world)?
-    } else {
-        opted(Simulator::new(&cfg), opts).run(&world)?
-    };
+
+    /// The rank map this request's placement lays out.
+    pub fn map(&self) -> RankMap {
+        match self.placement {
+            Placement::Block => RankMap::block(self.spec),
+            Placement::Cyclic => RankMap::cyclic(self.spec),
+        }
+    }
+}
+
+/// Compile the request's algorithm, simulate it, verify the result, and
+/// report the latency. A budget trip surfaces as [`RunError::Sim`]
+/// (`EventBudgetExceeded` / `TimeBudgetExceeded`).
+pub fn execute(req: &RunRequest) -> Result<AllreduceReport, RunError> {
+    let map = req.map();
+    let world = req.alg.build(&map, req.bytes)?;
+    let report = simulate(req.preset, &map, &world, &req.opts, req.faults, req.trace)?;
     report.verify_allreduce()?;
     Ok(AllreduceReport {
-        algorithm: alg.name(),
-        bytes,
+        algorithm: req.alg.name(),
+        bytes: req.bytes,
         latency_us: report.latency_us(),
         report,
     })
+}
+
+/// [`execute`] over independent requests on the scenario-parallel
+/// runner. Each request is a closed world, so the results are
+/// byte-identical to a serial loop and return in input order regardless
+/// of completion order (DESIGN.md §11).
+pub fn execute_batch(reqs: &[RunRequest]) -> Vec<Result<AllreduceReport, RunError>> {
+    use rayon::prelude::*;
+    reqs.par_iter().map(execute).collect()
+}
+
+/// Simulate an already-compiled `world` on `preset` under the placement
+/// `map`, and return the engine report unverified. This is the one place
+/// that builds a simulator: it attaches the SHArP oracle when the world
+/// uses SHArP groups (or fails with [`RunError::NoSharpOnFabric`]), the
+/// budgets, the fault plan and tracing. Callers that compile their own
+/// schedules (healing continuations, self-verifying worlds, application
+/// profiles) call it directly; everything else goes through [`execute`].
+pub fn simulate(
+    preset: &Preset,
+    map: &RankMap,
+    world: &WorldProgram,
+    opts: &RunOpts,
+    faults: Option<(&FaultPlan, u32)>,
+    trace: bool,
+) -> Result<RunReport, RunError> {
+    let cfg = SimConfig::new(map.clone(), preset.fabric.clone(), preset.switch)?;
+    let oracle = if world.sharp_groups.is_empty() {
+        None
+    } else {
+        let params = preset.fabric.sharp.ok_or(RunError::NoSharpOnFabric)?;
+        Some(SharpFabric::new(params, cfg.tree.clone(), map.clone()))
+    };
+    let mut sim = Simulator::new(&cfg);
+    if let Some(oracle) = &oracle {
+        sim = sim.with_sharp(oracle);
+    }
+    if let Some(events) = opts.event_budget {
+        sim = sim.with_event_budget(events);
+    }
+    if let Some(s) = opts.time_budget_s {
+        sim = sim.with_time_budget(s);
+    }
+    if let Some((plan, attempt)) = faults {
+        sim = sim.with_faults(plan).with_fault_attempt(attempt);
+    }
+    if trace {
+        sim = sim.with_trace();
+    }
+    Ok(sim.run(world)?)
 }
 
 #[cfg(test)]
@@ -252,16 +216,11 @@ mod tests {
     fn runs_and_verifies() {
         let p = cluster_b();
         let spec = p.spec(4, 4).unwrap();
-        let rep = run_allreduce(
-            &p,
-            &spec,
-            Algorithm::Dpml {
-                leaders: 4,
-                inner: FlatAlg::RecursiveDoubling,
-            },
-            65536,
-        )
-        .unwrap();
+        let alg = Algorithm::Dpml {
+            leaders: 4,
+            inner: FlatAlg::RecursiveDoubling,
+        };
+        let rep = execute(&RunRequest::new(&p, &spec, alg, 65536)).unwrap();
         assert!(rep.latency_us > 0.0);
         assert_eq!(rep.algorithm, "dpml-l4");
     }
@@ -270,16 +229,16 @@ mod tests {
     fn sharp_on_non_sharp_fabric_is_an_error() {
         let p = cluster_b();
         let spec = p.spec(4, 4).unwrap();
-        let err = run_allreduce(&p, &spec, Algorithm::SharpNodeLeader, 256).unwrap_err();
-        assert!(matches!(err, RunError::NoSharpOnFabric));
+        let req = RunRequest::new(&p, &spec, Algorithm::SharpNodeLeader, 256);
+        assert!(matches!(execute(&req), Err(RunError::NoSharpOnFabric)));
     }
 
     #[test]
     fn sharp_runs_on_cluster_a() {
         let p = cluster_a();
         let spec = p.spec(4, 4).unwrap();
-        let rep = run_allreduce(&p, &spec, Algorithm::SharpSocketLeader, 256).unwrap();
-        assert_eq!(rep.report.stats.sharp_ops, 1);
+        let req = RunRequest::new(&p, &spec, Algorithm::SharpSocketLeader, 256);
+        assert_eq!(execute(&req).unwrap().report.stats.sharp_ops, 1);
     }
 
     #[test]
@@ -290,37 +249,79 @@ mod tests {
             leaders: 4,
             inner: FlatAlg::RecursiveDoubling,
         };
-        let plain = run_allreduce(&p, &spec, alg, 65536).unwrap();
-        let roomy =
-            run_allreduce_budgeted(&p, &spec, alg, 65536, Some(10_000_000), Some(10.0)).unwrap();
+        let plain = RunRequest::new(&p, &spec, alg, 65536);
+        let budgeted = |event_budget, time_budget_s| {
+            execute(&RunRequest {
+                opts: RunOpts {
+                    event_budget,
+                    time_budget_s,
+                },
+                ..plain
+            })
+        };
+        let roomy = budgeted(Some(10_000_000), Some(10.0)).unwrap();
+        let plain = execute(&plain).unwrap();
         assert_eq!(plain.latency_us.to_bits(), roomy.latency_us.to_bits());
 
-        let err = run_allreduce_budgeted(&p, &spec, alg, 65536, Some(3), None).unwrap_err();
         assert!(matches!(
-            err,
+            budgeted(Some(3), None).unwrap_err(),
             RunError::Sim(dpml_engine::sim::SimError::EventBudgetExceeded(_))
         ));
-        let err = run_allreduce_budgeted(&p, &spec, alg, 65536, None, Some(1e-9)).unwrap_err();
         assert!(matches!(
-            err,
+            budgeted(None, Some(1e-9)).unwrap_err(),
             RunError::Sim(dpml_engine::sim::SimError::TimeBudgetExceeded(_))
         ));
+    }
+
+    #[test]
+    fn cyclic_placement_verifies_and_slows_a_small_ring() {
+        // A small ring under cyclic placement sends every neighbour hop
+        // across the network instead of through shared memory.
+        let p = cluster_b();
+        let spec = p.spec(4, 4).unwrap();
+        let block = RunRequest::new(&p, &spec, Algorithm::Ring, 1024);
+        let cyclic = RunRequest {
+            placement: Placement::Cyclic,
+            ..block
+        };
+        let block = execute(&block).unwrap();
+        let cyclic = execute(&cyclic).unwrap();
+        cyclic.report.verify_allreduce().unwrap();
+        assert!(
+            cyclic.latency_us > block.latency_us,
+            "cyclic {:.1}us vs block {:.1}us",
+            cyclic.latency_us,
+            block.latency_us
+        );
+    }
+
+    #[test]
+    fn batch_matches_serial_in_input_order() {
+        let p = cluster_b();
+        let spec = p.spec(2, 4).unwrap();
+        let reqs: Vec<RunRequest> = [Algorithm::Ring, Algorithm::RecursiveDoubling]
+            .into_iter()
+            .flat_map(|alg| [64, 4096].map(|bytes| RunRequest::new(&p, &spec, alg, bytes)))
+            .collect();
+        let batch = execute_batch(&reqs);
+        assert_eq!(batch.len(), reqs.len());
+        for (req, got) in reqs.iter().zip(&batch) {
+            let want = execute(req).unwrap();
+            let got = got.as_ref().unwrap();
+            assert_eq!((&got.algorithm, got.bytes), (&want.algorithm, want.bytes));
+            assert_eq!(got.latency_us.to_bits(), want.latency_us.to_bits());
+        }
     }
 
     #[test]
     fn build_error_propagates() {
         let p = cluster_b();
         let spec = p.spec(4, 4).unwrap();
-        let err = run_allreduce(
-            &p,
-            &spec,
-            Algorithm::Dpml {
-                leaders: 9,
-                inner: FlatAlg::Ring,
-            },
-            1024,
-        )
-        .unwrap_err();
+        let alg = Algorithm::Dpml {
+            leaders: 9,
+            inner: FlatAlg::Ring,
+        };
+        let err = execute(&RunRequest::new(&p, &spec, alg, 1024)).unwrap_err();
         assert!(matches!(err, RunError::Build(_)));
     }
 }

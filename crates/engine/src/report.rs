@@ -189,35 +189,6 @@ impl RunReport {
         Ok(())
     }
 
-    /// Verify an arbitrary per-rank coverage pattern: rank `rank`'s result
-    /// buffer must hold exactly `expected[i].1` over each byte range
-    /// `expected[i].0` (ranges outside the list are unconstrained). This is
-    /// the primitive behind the allgather / reduce-scatter / alltoall
-    /// checks in `dpml-core::collectives`.
-    pub fn verify_rank_segments(
-        &self,
-        rank: u32,
-        expected: &[((u64, u64), RankSet)],
-    ) -> Result<(), VerifyError> {
-        let cov = &self.result_coverage[rank as usize];
-        for ((start, end), set) in expected {
-            if !cov.covers_exactly(*start, *end, set) {
-                let correct = cov
-                    .restrict(*start, *end)
-                    .segments()
-                    .filter(|(_, _, s)| s.set_eq(set))
-                    .map(|(s, e, _)| e - s)
-                    .sum();
-                return Err(VerifyError::IncompleteResult {
-                    rank,
-                    correct_bytes: correct,
-                    expected_bytes: end - start,
-                });
-            }
-        }
-        Ok(())
-    }
-
     /// Verify a rooted reduce: only `root` must hold the full result.
     pub fn verify_reduce_at(&self, root: u32) -> Result<(), VerifyError> {
         let p = self.finish_times.len() as u32;

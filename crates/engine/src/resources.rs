@@ -26,7 +26,7 @@
 //! slab slot, and a flow's claims are stored inline (at most
 //! [`MAX_CLAIMS`]), so adding and removing a flow neither hashes nor
 //! allocates once the slabs have grown. When the dirty set grows
-//! past [`FULL_SOLVE_THRESHOLD`] of all resources the incremental walk
+//! past `FULL_SOLVE_THRESHOLD` of all resources the incremental walk
 //! stops paying for itself and [`FluidSystem::recompute_full`] re-levels
 //! every component from scratch instead. Both paths run the identical
 //! per-component progressive fill in flow-id order, so they agree to the

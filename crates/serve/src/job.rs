@@ -11,6 +11,7 @@
 use dpml_core::algorithms::Algorithm;
 use dpml_core::checkpoint::{run_allreduce_checkpointed, ChunkControl, SweepCheckpoint, SweepEnd};
 use dpml_core::profile::profile_allreduce;
+use dpml_core::run::RunOpts;
 use dpml_fabric::Preset;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -337,13 +338,10 @@ impl Default for JobCtx {
 }
 
 /// Map the remaining wall-clock deadline onto engine budgets.
-pub fn budgets_for(remaining_ms: Option<u64>) -> (Option<u64>, Option<f64>) {
-    match remaining_ms {
-        Some(ms) => (
-            Some(ms.saturating_mul(EVENTS_PER_DEADLINE_MS).max(1)),
-            Some(VIRTUAL_TIME_GUARD_S),
-        ),
-        None => (None, Some(VIRTUAL_TIME_GUARD_S)),
+pub fn budgets_for(remaining_ms: Option<u64>) -> RunOpts {
+    RunOpts {
+        event_budget: remaining_ms.map(|ms| ms.saturating_mul(EVENTS_PER_DEADLINE_MS).max(1)),
+        time_budget_s: Some(VIRTUAL_TIME_GUARD_S),
     }
 }
 
@@ -443,11 +441,7 @@ pub fn execute(spec: &JobSpec, ctx: &JobCtx, attempt: u32) -> JobOutcome {
                 });
                 return ChunkControl::Stop;
             }
-            let (event_budget, time_budget_s) = budgets_for(remaining);
-            ChunkControl::Proceed {
-                event_budget,
-                time_budget_s,
-            }
+            ChunkControl::Proceed(budgets_for(remaining))
         },
         |ck| {
             ctx.executed_scenarios
@@ -666,10 +660,14 @@ mod tests {
 
     #[test]
     fn budget_mapping_scales_with_remaining_deadline() {
-        assert_eq!(budgets_for(None).0, None);
-        assert_eq!(budgets_for(Some(100)).0, Some(100 * EVENTS_PER_DEADLINE_MS));
+        assert_eq!(budgets_for(None).event_budget, None);
+        assert_eq!(budgets_for(None).time_budget_s, Some(VIRTUAL_TIME_GUARD_S));
+        assert_eq!(
+            budgets_for(Some(100)).event_budget,
+            Some(100 * EVENTS_PER_DEADLINE_MS)
+        );
         // A just-expired deadline still gets a positive (tiny) budget so
         // the engine error path, not an assert, reports it.
-        assert_eq!(budgets_for(Some(0)).0, Some(1));
+        assert_eq!(budgets_for(Some(0)).event_budget, Some(1));
     }
 }

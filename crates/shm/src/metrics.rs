@@ -118,29 +118,17 @@ fn bucket_width(i: usize) -> u64 {
     }
 }
 
-/// How [`Histogram::quantile_with`] reads a value out of the bucket
-/// holding the `q`-th sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuantileMode {
-    /// Legacy behavior: report the bucket's inclusive lower bound. A
-    /// log2 floor systematically *understates* — by up to 2× when the
-    /// true sample sits near the bucket's upper edge. Kept under this
-    /// flag so callers pinned to historical outputs (golden files,
-    /// committed baselines) can stay bit-stable.
-    BucketFloor,
-    /// Linear interpolation within the bucket (Prometheus
-    /// `histogram_quantile` convention): assuming samples are uniform in
-    /// the bucket, the reported value is `floor + width * rank / count`.
-    /// The result always lies within the true sample's bucket
-    /// `[2^(i-1), 2^i]`, so the worst-case relative error is < 2× in
-    /// either direction (vs. a guaranteed understatement before) and is
-    /// exact when in-bucket samples are uniformly spread.
-    Interpolated,
-}
-
 /// Quantile over raw bucket counts (shared by live histograms and the
 /// time-series delta path). `total` must equal `counts.iter().sum()`.
-fn quantile_from_counts(counts: &[u64], total: u64, q: f64, mode: QuantileMode) -> u64 {
+///
+/// The value is linearly interpolated within the bucket holding the
+/// `q`-th sample (Prometheus `histogram_quantile` convention): assuming
+/// samples are uniform in the bucket, it is `floor + width * rank /
+/// count`. The result always lies within that bucket's closed range
+/// `[2^(i-1), 2^i]`, so the worst-case relative error is < 2× in either
+/// direction, and it is exact when in-bucket samples are uniformly
+/// spread.
+fn quantile_from_counts(counts: &[u64], total: u64, q: f64) -> u64 {
     if total == 0 {
         return 0;
     }
@@ -152,16 +140,10 @@ fn quantile_from_counts(counts: &[u64], total: u64, q: f64, mode: QuantileMode) 
         }
         seen += c;
         if seen >= target {
-            return match mode {
-                QuantileMode::BucketFloor => bucket_floor(i),
-                QuantileMode::Interpolated => {
-                    let rank = target - (seen - c); // 1-based rank within the bucket
-                    let v =
-                        bucket_floor(i) as f64 + bucket_width(i) as f64 * (rank as f64 / c as f64);
-                    // Stay inside the bucket's closed upper edge.
-                    (v as u64).min(bucket_floor(i) + bucket_width(i))
-                }
-            };
+            let rank = target - (seen - c); // 1-based rank within the bucket
+            let v = bucket_floor(i) as f64 + bucket_width(i) as f64 * (rank as f64 / c as f64);
+            // Stay inside the bucket's closed upper edge.
+            return (v as u64).min(bucket_floor(i) + bucket_width(i));
         }
     }
     bucket_floor(BUCKETS - 1)
@@ -201,23 +183,12 @@ impl Histogram {
     }
 
     /// Approximate quantile `q` in `0.0..=1.0`, linearly interpolated
-    /// within the log2 bucket holding the `q`-th sample (see
-    /// [`QuantileMode::Interpolated`] for the error bound).
+    /// within the log2 bucket holding the `q`-th sample (error < 2× in
+    /// either direction, see `quantile_from_counts`).
     pub fn quantile(&self, q: f64) -> u64 {
-        self.quantile_with(q, QuantileMode::Interpolated)
-    }
-
-    /// Legacy quantile: the lower bound of the bucket holding the `q`-th
-    /// sample (can understate by up to 2×; see [`QuantileMode`]).
-    pub fn quantile_floor(&self, q: f64) -> u64 {
-        self.quantile_with(q, QuantileMode::BucketFloor)
-    }
-
-    /// Quantile under an explicit [`QuantileMode`].
-    pub fn quantile_with(&self, q: f64, mode: QuantileMode) -> u64 {
         let counts = self.bucket_counts();
         let total: u64 = counts.iter().sum();
-        quantile_from_counts(&counts, total, q, mode)
+        quantile_from_counts(&counts, total, q)
     }
 
     /// Raw per-bucket counts (a relaxed-atomic snapshot).
@@ -271,9 +242,9 @@ pub struct HistogramSample {
     pub sum: u64,
     /// Mean sample.
     pub mean: f64,
-    /// Approximate median (interpolated; see [`QuantileMode`]).
+    /// Approximate median (see [`Histogram::quantile`]).
     pub p50: u64,
-    /// Approximate 99th percentile (interpolated; see [`QuantileMode`]).
+    /// Approximate 99th percentile (see [`Histogram::quantile`]).
     pub p99: u64,
     /// Non-empty raw buckets as `(bucket_index, count)` pairs, so the
     /// time-series layer can compute quantiles over *deltas* between two
@@ -576,8 +547,8 @@ pub fn rates_between(older: &TimedSnapshot, newer: &TimedSnapshot) -> RateReport
             WindowedHistogram {
                 name: h.name.clone(),
                 count: total,
-                p50: quantile_from_counts(&counts, total, 0.5, QuantileMode::Interpolated),
-                p99: quantile_from_counts(&counts, total, 0.99, QuantileMode::Interpolated),
+                p50: quantile_from_counts(&counts, total, 0.5),
+                p99: quantile_from_counts(&counts, total, 0.99),
             }
         })
         .collect();
@@ -639,13 +610,14 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 115);
         assert!((h.mean() - 23.0).abs() < 1e-12);
-        // Legacy mode: bucket floors. Median sample 4 → floor 4; p99
-        // lands in 100's bucket [64, 128) → floor 64.
-        assert_eq!(h.quantile_floor(0.5), 4);
-        assert_eq!(h.quantile_floor(0.99), 64);
-        // Interpolated mode: a lone sample in its bucket interpolates to
-        // the bucket's upper edge — still within [2^(i-1), 2^i], i.e.
-        // within 2× of the true sample in either direction.
+        // Bucket placement: the median sample 4 sits alone in [4, 8) and
+        // the p99 sample 100 alone in [64, 128).
+        let counts = h.bucket_counts();
+        assert_eq!((counts[3], bucket_floor(3)), (1, 4));
+        assert_eq!((counts[7], bucket_floor(7)), (1, 64));
+        // A lone sample in its bucket interpolates to the bucket's upper
+        // edge — still within [2^(i-1), 2^i], i.e. within 2× of the true
+        // sample in either direction.
         assert_eq!(h.quantile(0.5), 8);
         assert_eq!(h.quantile(0.99), 128);
     }
@@ -663,8 +635,9 @@ mod tests {
         assert_eq!(h.quantile(0.5), 6);
         // target rank 99: 4 + 4*0.99 = 7.96 → 7.
         assert_eq!(h.quantile(0.99), 7);
-        // Legacy floor collapses everything to the lower bound.
-        assert_eq!(h.quantile_floor(0.99), 4);
+        // Every sample shares the one bucket [4, 8).
+        assert_eq!(h.bucket_counts()[3], 100);
+        assert_eq!(h.nonzero_buckets(), vec![(4, 100)]);
     }
 
     #[test]
@@ -679,31 +652,27 @@ mod tests {
     #[test]
     fn quantile_edge_cases_empty_and_clamped_q() {
         let h = Histogram::new();
-        // Empty: every quantile in both modes is 0, including the ends.
+        // Empty: every bucket and every quantile is 0, including the ends.
+        assert_eq!(h.bucket_counts(), [0; BUCKETS]);
         for q in [0.0, 0.5, 1.0] {
             assert_eq!(h.quantile(q), 0);
-            assert_eq!(h.quantile_floor(q), 0);
         }
         // Out-of-range q is clamped to [0, 1], never a panic or garbage.
         h.record(10);
         assert_eq!(h.quantile(-3.0), h.quantile(0.0));
         assert_eq!(h.quantile(7.5), h.quantile(1.0));
-        assert_eq!(h.quantile_floor(-1.0), h.quantile_floor(0.0));
-        assert_eq!(h.quantile_floor(2.0), h.quantile_floor(1.0));
+        assert!((8..=16).contains(&h.quantile(-1.0)), "10 lives in [8, 16)");
     }
 
     #[test]
     fn quantile_single_bucket_stays_inside_it() {
-        // All mass in one bucket [8, 16): the legacy floor pins every
-        // quantile to 8; interpolation walks the bucket but never
-        // leaves its closed range.
+        // All mass in one bucket [8, 16): interpolation walks the
+        // bucket but never leaves its closed range.
         let h = Histogram::new();
         for v in 8..16u64 {
             h.record(v);
         }
-        assert_eq!(h.quantile_floor(0.0), 8);
-        assert_eq!(h.quantile_floor(0.5), 8);
-        assert_eq!(h.quantile_floor(1.0), 8);
+        assert_eq!(h.nonzero_buckets(), vec![(8, 8)]);
         assert!(h.quantile(0.0) >= 8);
         assert!(h.quantile(0.5) > 8, "mid-bucket rank must move the value");
         assert_eq!(h.quantile(1.0), 16, "closed upper edge of [8, 16)");
@@ -717,28 +686,38 @@ mod tests {
         for _ in 0..4 {
             h.record(u64::MAX);
         }
-        assert_eq!(h.quantile_floor(0.5), 1u64 << 62);
+        assert_eq!(h.nonzero_buckets(), vec![(1u64 << 62, 4)]);
+        assert_eq!(h.bucket_counts()[BUCKETS - 1], 4);
         assert_eq!(h.quantile(1.0), 1u64 << 63);
         let mid = h.quantile(0.5);
         assert!((1u64 << 62..=1u64 << 63).contains(&mid));
     }
 
     #[test]
-    fn interpolated_quantile_dominates_the_legacy_floor() {
-        // Ordering invariant across modes: interpolation starts at the
-        // bucket floor and only moves up, so for every q it must be >=
-        // the legacy `quantile_floor` on the same data.
+    fn interpolated_quantile_stays_in_the_bucket_of_its_rank() {
+        // Interpolation starts at the floor of the bucket holding the
+        // q-th sample and never passes its closed upper edge.
         let h = Histogram::new();
         let mut x = 0x5eedu64;
         for _ in 0..500 {
             x = x.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17) ^ 0x1234;
             h.record(x % 1_000_000);
         }
+        let counts = h.bucket_counts();
         for i in 0..=100u32 {
             let q = f64::from(i) / 100.0;
+            let target = ((q * 500.0).ceil() as u64).max(1);
+            let mut seen = 0;
+            let b = (0..BUCKETS)
+                .find(|&b| {
+                    seen += counts[b];
+                    seen >= target
+                })
+                .unwrap();
+            let v = h.quantile(q);
             assert!(
-                h.quantile(q) >= h.quantile_floor(q),
-                "q={q}: interpolated understates the legacy floor"
+                (bucket_floor(b)..=bucket_floor(b) + bucket_width(b)).contains(&v),
+                "q={q}: {v} outside bucket {b}"
             );
         }
     }

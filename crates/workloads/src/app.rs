@@ -1,10 +1,9 @@
 //! Generic application profile: compute steps interleaved with allreduces.
 
 use dpml_core::algorithms::{Algorithm, BuildError};
+use dpml_core::run::{simulate, RunError, RunOpts};
 use dpml_engine::program::{ByteRange, ProgramBuilder, WorldProgram};
-use dpml_engine::{SimConfig, Simulator};
 use dpml_fabric::Preset;
-use dpml_sharp::SharpFabric;
 use dpml_topology::{ClusterSpec, RankMap};
 use serde::{Deserialize, Serialize};
 
@@ -101,55 +100,18 @@ pub fn build_app(
     Ok(w)
 }
 
-/// Application-run failure.
-#[derive(Debug)]
-pub enum AppError {
-    /// The cluster/switch description itself was invalid.
-    Topology(dpml_topology::TopologyError),
-    /// Schedule compilation failed.
-    Build(BuildError),
-    /// Simulation failed.
-    Sim(dpml_engine::sim::SimError),
-}
-
-impl std::fmt::Display for AppError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            AppError::Topology(e) => write!(f, "topology: {e}"),
-            AppError::Build(e) => write!(f, "build: {e}"),
-            AppError::Sim(e) => write!(f, "simulation: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for AppError {}
-
 /// Simulate an application profile on a cluster with a per-size algorithm
-/// choice.
+/// choice. A SHArP choice on a fabric without SHArP is
+/// [`RunError::NoSharpOnFabric`].
 pub fn run_app(
     preset: &Preset,
     spec: &ClusterSpec,
     profile: &AppProfile,
     choose: &dyn Fn(u64) -> Algorithm,
-) -> Result<AppReport, AppError> {
+) -> Result<AppReport, RunError> {
     let map = RankMap::block(spec);
-    let cfg = SimConfig::new(map.clone(), preset.fabric.clone(), preset.switch)
-        .map_err(AppError::Topology)?;
-    let world = build_app(&map, profile, choose).map_err(AppError::Build)?;
-    let needs_sharp = !world.sharp_groups.is_empty();
-    let report = if needs_sharp {
-        let params = preset
-            .fabric
-            .sharp
-            .expect("SHArP design needs a SHArP fabric");
-        let oracle = SharpFabric::new(params, cfg.tree.clone(), map);
-        Simulator::new(&cfg)
-            .with_sharp(&oracle)
-            .run(&world)
-            .map_err(AppError::Sim)?
-    } else {
-        Simulator::new(&cfg).run(&world).map_err(AppError::Sim)?
-    };
+    let world = build_app(&map, profile, choose)?;
+    let report = simulate(preset, &map, &world, &RunOpts::default(), None, false)?;
     let total_us = report.latency_us();
     let compute_us = profile.compute_seconds() * 1e6;
     Ok(AppReport {
@@ -212,6 +174,15 @@ mod tests {
         })
         .unwrap();
         assert_eq!(*seen.borrow(), vec![8, 4096]);
+    }
+
+    #[test]
+    fn sharp_choice_without_sharp_fabric_is_an_error() {
+        let preset = cluster_b();
+        let spec = preset.spec(4, 4).unwrap();
+        let hpcg = crate::HpcgConfig::default().profile();
+        let err = run_app(&preset, &spec, &hpcg, &|_| Algorithm::SharpNodeLeader).unwrap_err();
+        assert!(matches!(err, RunError::NoSharpOnFabric), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example leader_sweep`
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::run::run_allreduce;
+use dpml::core::run::{execute, RunRequest};
 use dpml::fabric::presets::cluster_b;
 use dpml::model::{best_leader_count, CostParams};
 
@@ -25,7 +25,7 @@ fn main() {
         );
         let mut best = (0u32, f64::INFINITY);
         for l in [1u32, 2, 4, 8, 16] {
-            let sim = run_allreduce(
+            let sim = execute(&RunRequest::new(
                 &preset,
                 &spec,
                 Algorithm::Dpml {
@@ -33,7 +33,7 @@ fn main() {
                     inner: FlatAlg::RecursiveDoubling,
                 },
                 bytes,
-            )
+            ))
             .expect("verified run")
             .latency_us;
             let model =

@@ -4,7 +4,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::run::run_allreduce;
+use dpml::core::run::{execute, RunRequest};
 use dpml::fabric::presets::cluster_c;
 
 fn main() {
@@ -49,7 +49,8 @@ fn main() {
         for bytes in [4 * 1024u64, 64 * 1024, 1 << 20] {
             // Every run is verified: the simulator proves each rank ended
             // with every rank's contribution over the whole vector.
-            let rep = run_allreduce(&preset, &spec, alg, bytes).expect("verified allreduce");
+            let rep =
+                execute(&RunRequest::new(&preset, &spec, alg, bytes)).expect("verified allreduce");
             print!(" {:>12.1}", rep.latency_us);
         }
         println!();

@@ -7,26 +7,23 @@
 //! critical-path attribution table.)
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::engine::{SimConfig, Simulator, SpanKind};
+use dpml::core::run::{execute, RunRequest};
+use dpml::engine::SpanKind;
 use dpml::fabric::presets::cluster_b;
-use dpml::topology::RankMap;
 
 fn main() {
     let preset = cluster_b();
     let spec = preset.spec(4, 8).expect("4 nodes x 8 ranks");
-    let map = RankMap::block(&spec);
-    let cfg = SimConfig::new(map.clone(), preset.fabric.clone(), preset.switch).expect("topology");
     let alg = Algorithm::Dpml {
         leaders: 4,
         inner: FlatAlg::RecursiveDoubling,
     };
-    let world = alg.build(&map, 256 * 1024).expect("schedule");
-
-    let rep = Simulator::new(&cfg)
-        .with_trace()
-        .run(&world)
-        .expect("simulate");
-    rep.verify_allreduce().expect("verified");
+    let rep = execute(&RunRequest {
+        trace: true,
+        ..RunRequest::new(&preset, &spec, alg, 256 * 1024)
+    })
+    .expect("verified run")
+    .report;
     let trace = rep.trace.as_ref().expect("trace enabled");
 
     println!(

@@ -44,9 +44,9 @@ pub use dpml_workloads as workloads;
 pub mod prelude {
     pub use dpml_core::algorithms::Algorithm;
     pub use dpml_core::resilience::{run_allreduce_resilient, FaultPolicy, ResilientReport};
-    pub use dpml_core::run::{run_allreduce, AllreduceReport};
+    pub use dpml_core::run::{execute, execute_batch, AllreduceReport, RunRequest};
     pub use dpml_fabric::presets::{cluster_a, cluster_b, cluster_c, cluster_d};
     pub use dpml_fabric::Fabric;
     pub use dpml_faults::FaultPlan;
-    pub use dpml_topology::{ClusterSpec, LeaderPolicy, RankMap};
+    pub use dpml_topology::{ClusterSpec, LeaderPolicy, Placement, RankMap};
 }

@@ -42,14 +42,14 @@ use dpml::core::heal::{run_dpml_failstop, FailstopOutcome};
 use dpml::core::integrity::{run_allreduce_verified, IntegrityPolicy, VerifiedError};
 use dpml::core::profile::profile_allreduce;
 use dpml::core::resilience::{run_allreduce_resilient, FaultPolicy};
-use dpml::core::run::{run_allreduce, RunError};
+use dpml::core::run::{execute, execute_batch, RunError, RunRequest};
 use dpml::core::selector::Library;
 use dpml::core::tuner::{default_candidates, tune};
 use dpml::fabric::presets::{all_presets, Preset};
 use dpml::faults::{DataFaults, FaultPlan, ProcessFaults, SharpFaults};
 use dpml::serve::{start, ServeConfig};
 use dpml::topology::ClusterSpec;
-use dpml::workloads::app::{run_app, AppError};
+use dpml::workloads::app::run_app;
 use dpml::workloads::{HpcgConfig, MiniAmrConfig};
 
 /// A classified CLI failure. Each class maps to a distinct, documented
@@ -136,15 +136,6 @@ impl From<RunError> for CliError {
             }
             RunError::Sim(_) => CliError::Sim(e.to_string()),
             RunError::Verify(_) => CliError::Integrity(e.to_string()),
-        }
-    }
-}
-
-impl From<AppError> for CliError {
-    fn from(e: AppError) -> Self {
-        match &e {
-            AppError::Topology(_) | AppError::Build(_) => CliError::Build(e.to_string()),
-            AppError::Sim(_) => CliError::Sim(e.to_string()),
         }
     }
 }
@@ -239,7 +230,7 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
     let (preset, spec) = cluster_and_spec(args)?;
     let alg = parse_algorithm(&arg_value(args, "--alg").ok_or("--alg required".to_string())?)?;
     let bytes = parse_bytes(&arg_value(args, "--bytes").ok_or("--bytes required".to_string())?)?;
-    let rep = run_allreduce(&preset, &spec, alg, bytes)?;
+    let rep = execute(&RunRequest::new(&preset, &spec, alg, bytes))?;
     println!(
         "{} on {} ({} x {} = {} ranks), {} bytes:",
         alg.name(),
@@ -393,13 +384,13 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         sizes.push(bytes);
         bytes *= 4;
     }
-    let mut scenarios = Vec::new();
+    let mut reqs = Vec::new();
     for &bytes in &sizes {
         for &a in &algs {
-            scenarios.push((a, bytes));
+            reqs.push(RunRequest::new(&preset, &spec, a, bytes));
         }
     }
-    let reports = dpml_core::run::run_allreduce_batch(&preset, &spec, scenarios);
+    let reports = execute_batch(&reqs);
     let mut failures: Vec<(u64, String, String)> = Vec::new();
     for (i, &bytes) in sizes.iter().enumerate() {
         print!("{bytes:>8}");
@@ -442,7 +433,7 @@ fn cmd_compare(args: &[String]) -> Result<(), CliError> {
     );
     for lib in [Library::Mvapich2, Library::IntelMpi, Library::DpmlTuned] {
         let alg = lib.choose(&preset, &spec, bytes);
-        let rep = run_allreduce(&preset, &spec, alg, bytes)?;
+        let rep = execute(&RunRequest::new(&preset, &spec, alg, bytes))?;
         println!(
             "  {:<16} -> {:<16} {:>12.2} us",
             lib.name(),
@@ -630,7 +621,7 @@ fn cmd_recover(args: &[String]) -> Result<(), CliError> {
         leaders,
         inner: FlatAlg::RecursiveDoubling,
     };
-    let clean = run_allreduce(&preset, &spec, alg, bytes)?;
+    let clean = execute(&RunRequest::new(&preset, &spec, alg, bytes))?;
     // Default crash time: 60% through the fault-free run (mid-phase-3).
     let crash_at = arg_value(args, "--crash-at-us")
         .map(|v| {

@@ -3,7 +3,7 @@
 //! by the engine's symbolic coverage verification.
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::run::run_allreduce;
+use dpml::core::run::{execute, RunRequest};
 use dpml::fabric::presets::{all_presets, cluster_a, cluster_b};
 
 fn algorithms_for(sharp: bool, ppn: u32) -> Vec<Algorithm> {
@@ -47,7 +47,7 @@ fn every_algorithm_verifies_on_every_preset() {
     for preset in all_presets() {
         let spec = preset.spec(4, 4).expect("4x4 spec");
         for alg in algorithms_for(preset.fabric.has_sharp(), spec.ppn) {
-            let rep = run_allreduce(&preset, &spec, alg, 6000)
+            let rep = execute(&RunRequest::new(&preset, &spec, alg, 6000))
                 .unwrap_or_else(|e| panic!("{} {}: {e}", preset.id, alg.name()));
             assert!(rep.latency_us > 0.0);
         }
@@ -61,7 +61,7 @@ fn awkward_shapes_verify() {
     for (nodes, ppn) in [(3u32, 5u32), (5, 3), (7, 1), (1, 7), (6, 6)] {
         let spec = preset.spec(nodes, ppn).expect("spec");
         for alg in algorithms_for(false, ppn) {
-            run_allreduce(&preset, &spec, alg, 997)
+            execute(&RunRequest::new(&preset, &spec, alg, 997))
                 .unwrap_or_else(|e| panic!("{nodes}x{ppn} {}: {e}", alg.name()));
         }
     }
@@ -73,7 +73,7 @@ fn tiny_vectors_verify() {
     let spec = preset.spec(4, 8).expect("spec");
     for bytes in [1u64, 2, 3, 7, 8] {
         for alg in algorithms_for(false, 8) {
-            run_allreduce(&preset, &spec, alg, bytes)
+            execute(&RunRequest::new(&preset, &spec, alg, bytes))
                 .unwrap_or_else(|e| panic!("{bytes}B {}: {e}", alg.name()));
         }
     }
@@ -85,7 +85,7 @@ fn sharp_designs_verify_across_shapes() {
     for (nodes, ppn) in [(2u32, 1u32), (16, 1), (4, 4), (8, 28), (3, 5)] {
         let spec = preset.spec(nodes, ppn).expect("spec");
         for alg in [Algorithm::SharpNodeLeader, Algorithm::SharpSocketLeader] {
-            run_allreduce(&preset, &spec, alg, 512)
+            execute(&RunRequest::new(&preset, &spec, alg, 512))
                 .unwrap_or_else(|e| panic!("{nodes}x{ppn} {}: {e}", alg.name()));
         }
     }
@@ -97,7 +97,7 @@ fn paper_scale_shapes_verify() {
     // figures' harnesses override).
     let a = cluster_a();
     let spec = a.default_spec(16).expect("16x28");
-    run_allreduce(
+    execute(&RunRequest::new(
         &a,
         &spec,
         Algorithm::Dpml {
@@ -105,12 +105,12 @@ fn paper_scale_shapes_verify() {
             inner: FlatAlg::RecursiveDoubling,
         },
         512 * 1024,
-    )
+    ))
     .expect("fig4 point");
 
     let d = dpml::fabric::presets::cluster_d();
     let spec = d.default_spec(8).expect("8x32");
-    run_allreduce(
+    execute(&RunRequest::new(
         &d,
         &spec,
         Algorithm::DpmlPipelined {
@@ -118,6 +118,6 @@ fn paper_scale_shapes_verify() {
             chunks: 8,
         },
         1 << 20,
-    )
+    ))
     .expect("fig7 point");
 }

@@ -4,14 +4,14 @@
 //! harness result files.
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::run::run_allreduce;
+use dpml::core::run::{execute, RunRequest};
 use dpml::engine::RunReport;
 use dpml::fabric::presets::{cluster_a, cluster_c};
 
 fn run_once(alg: Algorithm, bytes: u64) -> dpml::core::run::AllreduceReport {
     let p = cluster_c();
     let spec = p.spec(4, 8).unwrap();
-    run_allreduce(&p, &spec, alg, bytes).unwrap()
+    execute(&RunRequest::new(&p, &spec, alg, bytes)).unwrap()
 }
 
 #[test]
@@ -38,8 +38,20 @@ fn repeated_runs_are_bit_identical() {
 fn sharp_runs_are_deterministic_too() {
     let p = cluster_a();
     let spec = p.spec(8, 28).unwrap();
-    let a = run_allreduce(&p, &spec, Algorithm::SharpSocketLeader, 1024).unwrap();
-    let b = run_allreduce(&p, &spec, Algorithm::SharpSocketLeader, 1024).unwrap();
+    let a = execute(&RunRequest::new(
+        &p,
+        &spec,
+        Algorithm::SharpSocketLeader,
+        1024,
+    ))
+    .unwrap();
+    let b = execute(&RunRequest::new(
+        &p,
+        &spec,
+        Algorithm::SharpSocketLeader,
+        1024,
+    ))
+    .unwrap();
     assert_eq!(a.report, b.report);
 }
 

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use dpml::chaos::{Reproducer, Scenario};
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::{run_allreduce_checkpointed, ChunkControl, SweepCheckpoint, SweepEnd};
+use dpml::core::{run_allreduce_checkpointed, ChunkControl, RunOpts, SweepCheckpoint, SweepEnd};
 use dpml::engine::sim::SimError;
 use dpml::engine::{SimConfig, Simulator};
 use dpml::fabric::presets::{cluster_b, cluster_c, cluster_d, Preset};
@@ -331,10 +331,7 @@ fn checkpointed_sweep(
         &spec,
         scenarios,
         &mut ckpt,
-        |_| ChunkControl::Proceed {
-            event_budget: None,
-            time_budget_s: None,
-        },
+        |_| ChunkControl::Proceed(RunOpts::default()),
         |snapshot| {
             if let Some(store) = &store {
                 saves.push(match store.save(9, snapshot) {

@@ -3,12 +3,26 @@
 //! (denial → fallback, flaky → retry) completes verified collectives.
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::resilience::{
-    host_fallback_algorithm, run_allreduce_faulted, run_allreduce_resilient, FaultPolicy,
-};
-use dpml::core::run::run_allreduce;
-use dpml::fabric::presets::{cluster_a, cluster_c};
+use dpml::core::resilience::{host_fallback_algorithm, run_allreduce_resilient, FaultPolicy};
+use dpml::core::run::{execute, AllreduceReport, RunError, RunRequest};
+use dpml::fabric::presets::{cluster_a, cluster_c, Preset};
 use dpml::faults::{DataFaults, FaultPlan, ProcessFaults, SharpFaults};
+use dpml::topology::ClusterSpec;
+
+/// One attempt of `alg` under `plan`: fault effects applied, no
+/// degradation ladder, errors surfaced as-is.
+fn run_faulted(
+    p: &Preset,
+    spec: &ClusterSpec,
+    alg: Algorithm,
+    bytes: u64,
+    plan: &FaultPlan,
+) -> Result<AllreduceReport, RunError> {
+    execute(&RunRequest {
+        faults: Some((plan, 0)),
+        ..RunRequest::new(p, spec, alg, bytes)
+    })
+}
 
 #[test]
 fn zero_intensity_plan_is_bit_identical_across_algorithms() {
@@ -31,9 +45,9 @@ fn zero_intensity_plan_is_bit_identical_across_algorithms() {
             1 << 20,
         ),
     ] {
-        let clean = run_allreduce(&p, &spec, alg, bytes).expect("clean run");
-        let faulted = run_allreduce_faulted(&p, &spec, alg, bytes, &FaultPlan::zero())
-            .expect("zero-plan run");
+        let clean = execute(&RunRequest::new(&p, &spec, alg, bytes)).expect("clean run");
+        let faulted =
+            run_faulted(&p, &spec, alg, bytes, &FaultPlan::zero()).expect("zero-plan run");
         assert_eq!(
             clean.latency_us.to_bits(),
             faulted.latency_us.to_bits(),
@@ -47,7 +61,7 @@ fn zero_intensity_plan_is_bit_identical_across_algorithms() {
             alg.name()
         );
         // The canonical scenario at intensity zero must behave the same.
-        let canon = run_allreduce_faulted(&p, &spec, alg, bytes, &FaultPlan::canonical(123, 0.0))
+        let canon = run_faulted(&p, &spec, alg, bytes, &FaultPlan::canonical(123, 0.0))
             .expect("canonical(0) run");
         assert_eq!(clean.latency_us.to_bits(), canon.latency_us.to_bits());
         // An armed fail-stop detector with zero scheduled crashes is
@@ -60,7 +74,7 @@ fn zero_intensity_plan_is_bit_identical_across_algorithms() {
             },
             ..FaultPlan::zero()
         };
-        let watched = run_allreduce_faulted(&p, &spec, alg, bytes, &armed).expect("zero-crash run");
+        let watched = run_faulted(&p, &spec, alg, bytes, &armed).expect("zero-crash run");
         assert_eq!(
             clean.latency_us.to_bits(),
             watched.latency_us.to_bits(),
@@ -84,10 +98,10 @@ fn noise_slows_but_never_corrupts() {
         leaders: 8,
         inner: FlatAlg::RecursiveDoubling,
     };
-    let clean = run_allreduce(&p, &spec, alg, 64 * 1024).expect("clean run");
+    let clean = execute(&RunRequest::new(&p, &spec, alg, 64 * 1024)).expect("clean run");
     let plan = FaultPlan::canonical(11, 1.0);
-    let noisy = run_allreduce_faulted(&p, &spec, alg, 64 * 1024, &plan).expect("noisy run");
-    // run_allreduce_faulted verifies internally; re-verify here to make the
+    let noisy = run_faulted(&p, &spec, alg, 64 * 1024, &plan).expect("noisy run");
+    // execute verifies internally; re-verify here to make the
     // e2e claim explicit.
     noisy
         .report
@@ -167,7 +181,7 @@ fn wire_corruption_detected_and_retransmitted() {
         leaders: 4,
         inner: FlatAlg::RecursiveDoubling,
     };
-    let clean = run_allreduce(&p, &spec, alg, 256 * 1024).expect("clean run");
+    let clean = execute(&RunRequest::new(&p, &spec, alg, 256 * 1024)).expect("clean run");
     let plan = FaultPlan {
         seed: 17,
         data: DataFaults {
@@ -176,8 +190,7 @@ fn wire_corruption_detected_and_retransmitted() {
         },
         ..FaultPlan::zero()
     };
-    let faulted =
-        run_allreduce_faulted(&p, &spec, alg, 256 * 1024, &plan).expect("faulted run completes");
+    let faulted = run_faulted(&p, &spec, alg, 256 * 1024, &plan).expect("faulted run completes");
     faulted
         .report
         .verify_allreduce()
@@ -206,17 +219,15 @@ fn same_seed_same_timing_different_seed_differs() {
         leaders: 2,
         inner: FlatAlg::RecursiveDoubling,
     };
-    let a = run_allreduce_faulted(&p, &spec, alg, 32 * 1024, &FaultPlan::canonical(1, 0.8))
-        .expect("seed 1");
-    let b = run_allreduce_faulted(&p, &spec, alg, 32 * 1024, &FaultPlan::canonical(1, 0.8))
+    let a = run_faulted(&p, &spec, alg, 32 * 1024, &FaultPlan::canonical(1, 0.8)).expect("seed 1");
+    let b = run_faulted(&p, &spec, alg, 32 * 1024, &FaultPlan::canonical(1, 0.8))
         .expect("seed 1 again");
     assert_eq!(
         a.latency_us.to_bits(),
         b.latency_us.to_bits(),
         "same seed must replay exactly"
     );
-    let c = run_allreduce_faulted(&p, &spec, alg, 32 * 1024, &FaultPlan::canonical(2, 0.8))
-        .expect("seed 2");
+    let c = run_faulted(&p, &spec, alg, 32 * 1024, &FaultPlan::canonical(2, 0.8)).expect("seed 2");
     assert_ne!(
         a.latency_us.to_bits(),
         c.latency_us.to_bits(),

@@ -5,7 +5,7 @@
 //! decision the model exists to inform — should match.
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::run::run_allreduce;
+use dpml::core::run::{execute, RunRequest};
 use dpml::fabric::presets::cluster_b;
 use dpml::model::{best_leader_count, leader_sweep, CostParams};
 
@@ -15,7 +15,7 @@ fn model_tracks_simulation_for_medium_large() {
     let spec = p.default_spec(16).unwrap();
     for bytes in [16 * 1024u64, 128 * 1024, 1 << 20] {
         for l in [1u32, 4, 16] {
-            let sim = run_allreduce(
+            let sim = execute(&RunRequest::new(
                 &p,
                 &spec,
                 Algorithm::Dpml {
@@ -23,7 +23,7 @@ fn model_tracks_simulation_for_medium_large() {
                     inner: FlatAlg::RecursiveDoubling,
                 },
                 bytes,
-            )
+            ))
             .unwrap()
             .latency_us;
             let model = CostParams::from_fabric(&p.fabric, &spec, l, bytes, 1).t_allreduce() * 1e6;
@@ -46,7 +46,7 @@ fn model_and_sim_agree_on_best_leader_count_for_large() {
         let sim_best = [1u32, 2, 4, 8, 16]
             .into_iter()
             .min_by(|&a, &b| {
-                let la = run_allreduce(
+                let la = execute(&RunRequest::new(
                     &p,
                     &spec,
                     Algorithm::Dpml {
@@ -54,10 +54,10 @@ fn model_and_sim_agree_on_best_leader_count_for_large() {
                         inner: FlatAlg::RecursiveDoubling,
                     },
                     bytes,
-                )
+                ))
                 .unwrap()
                 .latency_us;
-                let lb = run_allreduce(
+                let lb = execute(&RunRequest::new(
                     &p,
                     &spec,
                     Algorithm::Dpml {
@@ -65,7 +65,7 @@ fn model_and_sim_agree_on_best_leader_count_for_large() {
                         inner: FlatAlg::RecursiveDoubling,
                     },
                     bytes,
-                )
+                ))
                 .unwrap()
                 .latency_us;
                 la.total_cmp(&lb)
@@ -98,9 +98,14 @@ fn eq1_matches_flat_rd_simulation_loosely() {
     let p = cluster_b();
     let spec = p.spec(16, 1).unwrap();
     let bytes = 64 * 1024u64;
-    let sim = run_allreduce(&p, &spec, Algorithm::RecursiveDoubling, bytes)
-        .unwrap()
-        .latency_us;
+    let sim = execute(&RunRequest::new(
+        &p,
+        &spec,
+        Algorithm::RecursiveDoubling,
+        bytes,
+    ))
+    .unwrap()
+    .latency_us;
     let model = CostParams::from_fabric(&p.fabric, &spec, 1, bytes, 1).t_recursive_doubling() * 1e6;
     let ratio = sim / model;
     assert!(

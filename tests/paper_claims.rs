@@ -3,7 +3,7 @@
 //! the quantitative values.
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
-use dpml::core::run::run_allreduce;
+use dpml::core::run::{execute, RunRequest};
 use dpml::core::selector::Library;
 use dpml::fabric::presets::{cluster_a, cluster_b, cluster_c, cluster_d};
 
@@ -20,10 +20,10 @@ fn dpml_l(l: u32) -> Algorithm {
 fn claim_leader_scaling_cluster_b_512kb() {
     let p = cluster_b();
     let spec = p.default_spec(16).unwrap();
-    let t1 = run_allreduce(&p, &spec, dpml_l(1), 512 * 1024)
+    let t1 = execute(&RunRequest::new(&p, &spec, dpml_l(1), 512 * 1024))
         .unwrap()
         .latency_us;
-    let t16 = run_allreduce(&p, &spec, dpml_l(16), 512 * 1024)
+    let t16 = execute(&RunRequest::new(&p, &spec, dpml_l(16), 512 * 1024))
         .unwrap()
         .latency_us;
     let speedup = t1 / t16;
@@ -39,8 +39,12 @@ fn claim_leader_scaling_cluster_b_512kb() {
 fn claim_small_messages_do_not_want_many_leaders() {
     let p = cluster_b();
     let spec = p.default_spec(16).unwrap();
-    let t1 = run_allreduce(&p, &spec, dpml_l(1), 64).unwrap().latency_us;
-    let t16 = run_allreduce(&p, &spec, dpml_l(16), 64).unwrap().latency_us;
+    let t1 = execute(&RunRequest::new(&p, &spec, dpml_l(1), 64))
+        .unwrap()
+        .latency_us;
+    let t16 = execute(&RunRequest::new(&p, &spec, dpml_l(16), 64))
+        .unwrap()
+        .latency_us;
     assert!(t16 >= t1, "16 leaders should not win at 64B: {t16} vs {t1}");
 }
 
@@ -52,32 +56,42 @@ fn claim_sharp_crossover_and_socket_leader() {
     let p = cluster_a();
     let spec = p.spec(16, 4).unwrap();
     let host = |bytes| {
-        run_allreduce(
+        execute(&RunRequest::new(
             &p,
             &spec,
             Algorithm::SingleLeader {
                 inner: FlatAlg::RecursiveDoubling,
             },
             bytes,
-        )
+        ))
         .unwrap()
         .latency_us
     };
     let sharp = |bytes| {
-        run_allreduce(&p, &spec, Algorithm::SharpNodeLeader, bytes)
-            .unwrap()
-            .latency_us
+        execute(&RunRequest::new(
+            &p,
+            &spec,
+            Algorithm::SharpNodeLeader,
+            bytes,
+        ))
+        .unwrap()
+        .latency_us
     };
     assert!(sharp(64) < host(64), "SHArP must win small messages");
     assert!(sharp(4096) > host(4096), "host-based must win at 4KB");
 
     let full = p.spec(16, 28).unwrap();
-    let node = run_allreduce(&p, &full, Algorithm::SharpNodeLeader, 256)
+    let node = execute(&RunRequest::new(&p, &full, Algorithm::SharpNodeLeader, 256))
         .unwrap()
         .latency_us;
-    let socket = run_allreduce(&p, &full, Algorithm::SharpSocketLeader, 256)
-        .unwrap()
-        .latency_us;
+    let socket = execute(&RunRequest::new(
+        &p,
+        &full,
+        Algorithm::SharpSocketLeader,
+        256,
+    ))
+    .unwrap()
+    .latency_us;
     assert!(
         socket < node,
         "socket-leader must beat node-leader at 28 ppn"
@@ -92,12 +106,12 @@ fn claim_dpml_beats_libraries_medium_large() {
         let spec = preset.default_spec(8).unwrap();
         for bytes in [16 * 1024u64, 512 * 1024] {
             let dpml_alg = Library::DpmlTuned.choose(&preset, &spec, bytes);
-            let dpml = run_allreduce(&preset, &spec, dpml_alg, bytes)
+            let dpml = execute(&RunRequest::new(&preset, &spec, dpml_alg, bytes))
                 .unwrap()
                 .latency_us;
             for lib in [Library::Mvapich2, Library::IntelMpi] {
                 let alg = lib.choose(&preset, &spec, bytes);
-                let other = run_allreduce(&preset, &spec, alg, bytes)
+                let other = execute(&RunRequest::new(&preset, &spec, alg, bytes))
                     .unwrap()
                     .latency_us;
                 assert!(
@@ -119,9 +133,13 @@ fn claim_overall_speedup_magnitude() {
     let spec = p.default_spec(16).unwrap();
     let bytes = 512 * 1024u64;
     let mva = Library::Mvapich2.choose(&p, &spec, bytes);
-    let base = run_allreduce(&p, &spec, mva, bytes).unwrap().latency_us;
+    let base = execute(&RunRequest::new(&p, &spec, mva, bytes))
+        .unwrap()
+        .latency_us;
     let tuned = Library::DpmlTuned.choose(&p, &spec, bytes);
-    let ours = run_allreduce(&p, &spec, tuned, bytes).unwrap().latency_us;
+    let ours = execute(&RunRequest::new(&p, &spec, tuned, bytes))
+        .unwrap()
+        .latency_us;
     let speedup = base / ours;
     assert!(
         speedup > 2.0,
@@ -136,7 +154,7 @@ fn claim_pipelining_is_fabric_specific() {
     let big = 4 << 20;
     let c = cluster_c();
     let spec = c.default_spec(8).unwrap();
-    let plain = run_allreduce(
+    let plain = execute(&RunRequest::new(
         &c,
         &spec,
         Algorithm::DpmlPipelined {
@@ -144,10 +162,10 @@ fn claim_pipelining_is_fabric_specific() {
             chunks: 1,
         },
         big,
-    )
+    ))
     .unwrap()
     .latency_us;
-    let piped = run_allreduce(
+    let piped = execute(&RunRequest::new(
         &c,
         &spec,
         Algorithm::DpmlPipelined {
@@ -155,7 +173,7 @@ fn claim_pipelining_is_fabric_specific() {
             chunks: 8,
         },
         big,
-    )
+    ))
     .unwrap()
     .latency_us;
     assert!(
@@ -165,7 +183,7 @@ fn claim_pipelining_is_fabric_specific() {
 
     let b = cluster_b();
     let spec = b.default_spec(8).unwrap();
-    let plain_ib = run_allreduce(
+    let plain_ib = execute(&RunRequest::new(
         &b,
         &spec,
         Algorithm::DpmlPipelined {
@@ -173,10 +191,10 @@ fn claim_pipelining_is_fabric_specific() {
             chunks: 1,
         },
         big,
-    )
+    ))
     .unwrap()
     .latency_us;
-    let piped_ib = run_allreduce(
+    let piped_ib = execute(&RunRequest::new(
         &b,
         &spec,
         Algorithm::DpmlPipelined {
@@ -184,7 +202,7 @@ fn claim_pipelining_is_fabric_specific() {
             chunks: 8,
         },
         big,
-    )
+    ))
     .unwrap()
     .latency_us;
     let gain = plain_ib / piped_ib;
@@ -203,27 +221,37 @@ fn claim_pipelining_is_fabric_specific() {
 fn claim_hierarchy_beats_flat_at_full_subscription() {
     let p = cluster_b();
     let spec = p.default_spec(8).unwrap();
-    let flat = run_allreduce(&p, &spec, Algorithm::RecursiveDoubling, 512)
-        .unwrap()
-        .latency_us;
-    let hier = run_allreduce(
+    let flat = execute(&RunRequest::new(
+        &p,
+        &spec,
+        Algorithm::RecursiveDoubling,
+        512,
+    ))
+    .unwrap()
+    .latency_us;
+    let hier = execute(&RunRequest::new(
         &p,
         &spec,
         Algorithm::SingleLeader {
             inner: FlatAlg::RecursiveDoubling,
         },
         512,
-    )
+    ))
     .unwrap()
     .latency_us;
     assert!(hier < flat, "hierarchy {hier} !< flat {flat}");
 
     // And at 64KB the single-leader advantage is gone (ties or loses),
     // while DPML with 16 leaders still wins comfortably.
-    let flat64 = run_allreduce(&p, &spec, Algorithm::RecursiveDoubling, 65536)
-        .unwrap()
-        .latency_us;
-    let dpml64 = run_allreduce(
+    let flat64 = execute(&RunRequest::new(
+        &p,
+        &spec,
+        Algorithm::RecursiveDoubling,
+        65536,
+    ))
+    .unwrap()
+    .latency_us;
+    let dpml64 = execute(&RunRequest::new(
         &p,
         &spec,
         Algorithm::Dpml {
@@ -231,7 +259,7 @@ fn claim_hierarchy_beats_flat_at_full_subscription() {
             inner: FlatAlg::RecursiveDoubling,
         },
         65536,
-    )
+    ))
     .unwrap()
     .latency_us;
     assert!(

@@ -8,7 +8,7 @@
 
 use dpml::core::algorithms::{Algorithm, FlatAlg};
 use dpml::core::heal::{run_dpml_failstop, FailstopOutcome};
-use dpml::core::run::run_allreduce;
+use dpml::core::run::{execute, RunRequest};
 use dpml::engine::RankSet;
 use dpml::fabric::presets::cluster_a;
 use dpml::faults::{FaultPlan, ProcessFaults};
@@ -36,7 +36,7 @@ fn every_leader_heals_at_three_crash_times_with_identical_data() {
         leaders: LEADERS,
         inner: INNER,
     };
-    let clean = run_allreduce(&p, &spec, alg, BYTES).expect("fault-free run");
+    let clean = execute(&RunRequest::new(&p, &spec, alg, BYTES)).expect("fault-free run");
     let world = spec.num_nodes * spec.ppn;
     let full = RankSet::full(world);
     // Sanity: the baseline we compare against is itself a complete
@@ -113,7 +113,7 @@ fn every_leader_heals_at_three_crash_times_with_identical_data() {
 fn zero_crash_process_plan_is_bit_identical() {
     let p = cluster_a();
     let spec = p.spec(4, 4).expect("4x4 spec");
-    let clean = run_allreduce(
+    let clean = execute(&RunRequest::new(
         &p,
         &spec,
         Algorithm::Dpml {
@@ -121,7 +121,7 @@ fn zero_crash_process_plan_is_bit_identical() {
             inner: INNER,
         },
         BYTES,
-    )
+    ))
     .expect("fault-free run");
     // A plan whose process-fault table is present but empty must not
     // perturb virtual time or data by a single bit.

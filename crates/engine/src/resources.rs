@@ -31,6 +31,24 @@
 //! every component from scratch instead. Both paths run the identical
 //! per-component progressive fill in flow-id order, so they agree to the
 //! bit — `prop_incremental_matches_scratch_to_0_ulp` holds them to 0 ULP.
+//!
+//! ## Work in proportion to live flows
+//!
+//! The slab keeps its high-water mark: after a burst, most of its slots
+//! may be free. A dense **live-flow table** (the occupied slots, kept by
+//! swap-remove with a position back-pointer in each flow) is what the
+//! per-timestamp passes walk — [`FluidSystem::advance_to`],
+//! [`FluidSystem::next_completion`], [`FluidSystem::drained_flows`] and
+//! the flow list of [`FluidSystem::recompute_full`] — so their cost
+//! follows the live count, not the slab. The table's order is arbitrary,
+//! which changes no bit: draining updates each flow on its own; the
+//! earliest completion is a minimum under the total order `(time,
+//! FlowId)`; the drained list and the full solve's flow list are sorted
+//! by id before use, as before. The water-fill keeps its region, work
+//! and candidate lists in reused buffers and compacts the unfrozen
+//! flows in place, keeping their ascending-id order, so a re-level
+//! allocates nothing once the buffers have grown and runs the same f64
+//! operations in the same order.
 
 use crate::time::SimTime;
 
@@ -70,6 +88,8 @@ struct FlowState<T> {
     claim_buf: [ResourceId; MAX_CLAIMS],
     /// `claim_pos[k]` = this flow's index within `res_flows[claims[k]]`.
     claim_pos: [u32; MAX_CLAIMS],
+    /// This flow's index in [`FluidSystem`]'s live-flow table.
+    live_pos: u32,
     cap: f64,
     remaining: f64,
     rate: f64,
@@ -109,7 +129,9 @@ pub struct FluidSystem<T> {
     /// Slot-indexed flow slab; freed slots go to `free_slots` for reuse.
     flows: Vec<Option<FlowState<T>>>,
     free_slots: Vec<u32>,
-    live: usize,
+    /// Live-flow table: the occupied slots in arbitrary order (removal
+    /// is a swap_remove fixed up through the moved flow's `live_pos`).
+    live: Vec<u32>,
     /// Per-resource flow index: the slots of the flows claiming each
     /// resource, as `(slot, claim_index)` so removal is one swap_remove
     /// plus a back-pointer fix.
@@ -124,6 +146,13 @@ pub struct FluidSystem<T> {
     scratch_stamp: Vec<u64>,
     flow_stamp: Vec<u64>,
     stamp: u64,
+    // Reused work lists of the re-level: `region` holds the flows to fill
+    // as `(id, slot)` in ascending-id order, `order` every live flow for
+    // the full solve, `work`/`cands` the unfrozen flows of a fill.
+    region: Vec<(u64, u32)>,
+    order: Vec<(u64, u32)>,
+    work: Vec<u32>,
+    cands: Vec<f64>,
     // Optional per-resource occupancy accounting (profiling runs only;
     // `None` costs nothing on the hot path).
     util: Option<Vec<UtilState>>,
@@ -137,7 +166,7 @@ impl<T> FluidSystem<T> {
             caps: Vec::new(),
             flows: Vec::new(),
             free_slots: Vec::new(),
-            live: 0,
+            live: Vec::new(),
             res_flows: Vec::new(),
             dirty_resources: Vec::new(),
             next_flow: 0,
@@ -148,6 +177,10 @@ impl<T> FluidSystem<T> {
             scratch_stamp: Vec::new(),
             flow_stamp: Vec::new(),
             stamp: 0,
+            region: Vec::new(),
+            order: Vec::new(),
+            work: Vec::new(),
+            cands: Vec::new(),
             util: None,
             util_scratch: Vec::new(),
         }
@@ -217,7 +250,7 @@ impl<T> FluidSystem<T> {
 
     /// Number of active flows.
     pub fn active_flows(&self) -> usize {
-        self.live
+        self.live.len()
     }
 
     /// True if rates need recomputation since the last change.
@@ -267,12 +300,13 @@ impl<T> FluidSystem<T> {
             n_claims: claims.len() as u8,
             claim_buf,
             claim_pos,
+            live_pos: self.live.len() as u32,
             cap,
             remaining: bytes,
             rate: 0.0,
             token,
         });
-        self.live += 1;
+        self.live.push(slot);
         self.dirty = true;
         FlowId { id, slot }
     }
@@ -304,15 +338,22 @@ impl<T> FluidSystem<T> {
             }
             self.dirty_resources.push(c.0);
         }
+        let pos = f.live_pos as usize;
+        self.live.swap_remove(pos);
+        if let Some(&moved) = self.live.get(pos) {
+            self.flows[moved as usize]
+                .as_mut()
+                .expect("live-table flow")
+                .live_pos = pos as u32;
+        }
         self.free_slots.push(slot);
-        self.live -= 1;
         self.dirty = true;
         Some(f.token)
     }
 
-    /// Advance virtual time: drain every flow by `rate * dt`. Flows at
-    /// rate zero are skipped — subtracting `0.0 * dt` is the identity on
-    /// a non-negative `remaining`, so the fast path is bit-identical.
+    /// Advance virtual time: drain every live flow by `rate * dt`. Flows
+    /// at rate zero are skipped — subtracting `0.0 * dt` is the identity
+    /// on a non-negative `remaining`, so the fast path is bit-identical.
     pub fn advance_to(&mut self, now: SimTime) {
         let dt = now - self.last_update;
         debug_assert!(dt >= -1e-12, "time went backwards: {dt}");
@@ -320,7 +361,8 @@ impl<T> FluidSystem<T> {
             if self.util.is_some() {
                 self.account_utilization(dt);
             }
-            for f in self.flows.iter_mut().flatten() {
+            for &slot in &self.live {
+                let f = self.flows[slot as usize].as_mut().expect("live slot");
                 if f.rate > 0.0 {
                     f.remaining = (f.remaining - f.rate * dt).max(0.0);
                 }
@@ -329,23 +371,27 @@ impl<T> FluidSystem<T> {
         self.last_update = now;
     }
 
+    /// Fill `self.order` with every live flow as `(id, slot)`, ascending.
+    fn sort_live_by_id(&mut self) {
+        self.order.clear();
+        for &slot in &self.live {
+            let f = self.flows[slot as usize].as_ref().expect("live slot");
+            self.order.push((f.id, slot));
+        }
+        self.order.sort_unstable();
+    }
+
     /// Integrate per-resource load over an elapsed interval of `dt`
     /// seconds at the current (constant) rates.
     fn account_utilization(&mut self, dt: f64) {
         let mut loads = std::mem::take(&mut self.util_scratch);
         loads.clear();
         loads.resize(self.caps.len(), 0.0);
-        // Accumulate in flow-id order (slots are reused, so slab order is
-        // not id order) so the floating-point sums — and the peak_util
-        // they feed — are bit-identical across runs.
-        let mut order: Vec<(u64, u32)> = self
-            .flows
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, f)| f.as_ref().map(|f| (f.id, slot as u32)))
-            .collect();
-        order.sort_unstable();
-        for (_, slot) in order {
+        // Accumulate in flow-id order (slots are reused, so neither slab
+        // nor live-table order is id order) so the floating-point sums —
+        // and the peak_util they feed — are bit-identical across runs.
+        self.sort_live_by_id();
+        for &(_, slot) in &self.order {
             let f = self.flows[slot as usize].as_ref().expect("live slot");
             if f.rate > 0.0 {
                 for c in f.claims() {
@@ -375,7 +421,7 @@ impl<T> FluidSystem<T> {
     /// dirty bit.
     pub fn recompute(&mut self) {
         self.dirty = false;
-        if self.live == 0 {
+        if self.live.is_empty() {
             self.dirty_resources.clear();
             return;
         }
@@ -390,7 +436,8 @@ impl<T> FluidSystem<T> {
         self.stamp += 1;
         let bfs_stamp = self.stamp;
         let mut res_queue: Vec<u32> = std::mem::take(&mut self.dirty_resources);
-        let mut affected: Vec<(u64, u32)> = Vec::new();
+        let mut affected = std::mem::take(&mut self.region);
+        affected.clear();
         while let Some(r) = res_queue.pop() {
             let ri = r as usize;
             if self.scratch_stamp[ri] == bfs_stamp {
@@ -412,12 +459,12 @@ impl<T> FluidSystem<T> {
             }
         }
         self.dirty_resources = res_queue; // return the (drained) buffer
-        if affected.is_empty() {
-            return;
+        if !affected.is_empty() {
+            // Deterministic order: fill walks flows by ascending id.
+            affected.sort_unstable();
+            self.fill_region(&affected);
         }
-        // Deterministic order: fill walks flows by ascending id.
-        affected.sort_unstable();
-        self.fill_region(&affected);
+        self.region = affected;
     }
 
     /// From-scratch re-level: partition all live flows into bottleneck
@@ -429,17 +476,12 @@ impl<T> FluidSystem<T> {
     pub fn recompute_full(&mut self) {
         self.dirty = false;
         self.dirty_resources.clear();
-        let mut order: Vec<(u64, u32)> = self
-            .flows
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, f)| f.as_ref().map(|f| (f.id, slot as u32)))
-            .collect();
-        order.sort_unstable();
+        self.sort_live_by_id();
+        let order = std::mem::take(&mut self.order);
         self.stamp += 1;
         let visit_stamp = self.stamp;
-        let mut component: Vec<(u64, u32)> = Vec::new();
-        let mut res_queue: Vec<u32> = Vec::new();
+        let mut component = std::mem::take(&mut self.region);
+        let mut res_queue = std::mem::take(&mut self.dirty_resources);
         for &(id, slot) in &order {
             if self.flow_stamp[slot as usize] == visit_stamp {
                 continue;
@@ -477,32 +519,24 @@ impl<T> FluidSystem<T> {
                 }
             }
             component.sort_unstable();
-            let comp = std::mem::take(&mut component);
-            self.fill_region(&comp);
-            component = comp;
+            self.fill_region(&component);
         }
+        self.order = order;
+        self.region = component;
+        self.dirty_resources = res_queue; // drained by the last BFS
     }
 
     /// Progressive filling over one bottleneck-connected region (the
     /// flows share no resources with any flow outside it), given as
     /// `(id, slot)` pairs in ascending-id order.
     fn fill_region(&mut self, region: &[(u64, u32)]) {
-        #[cfg(feature = "fluid-stats")]
-        {
-            use std::sync::atomic::{AtomicU64, Ordering};
-            static CALLS: AtomicU64 = AtomicU64::new(0);
-            static WORK: AtomicU64 = AtomicU64::new(0);
-            let c = CALLS.fetch_add(1, Ordering::Relaxed) + 1;
-            let w = WORK.fetch_add(region.len() as u64, Ordering::Relaxed) + region.len() as u64;
-            if c.is_multiple_of(10_000) {
-                eprintln!("fill_region calls={c} total_flows_filled={w}");
-            }
-        }
         // Scratch moves to locals so the fill can read flow claims from
         // the slab without aliasing (no per-flow claim-vector clones).
         let mut residual = std::mem::take(&mut self.scratch_residual);
         let mut count = std::mem::take(&mut self.scratch_count);
         let mut stamps = std::mem::take(&mut self.scratch_stamp);
+        let mut work = std::mem::take(&mut self.work);
+        let mut cands = std::mem::take(&mut self.cands);
         self.stamp += 1;
         let fill_stamp = self.stamp;
         for &(_, slot) in region {
@@ -517,12 +551,12 @@ impl<T> FluidSystem<T> {
                 count[ri] += 1;
             }
         }
-        let mut work: Vec<u32> = region.iter().map(|&(_, slot)| slot).collect();
-        let mut cands: Vec<f64> = vec![0.0; work.len()];
-        let mut frozen: Vec<u32> = Vec::new();
+        work.clear();
+        work.extend(region.iter().map(|&(_, slot)| slot));
         while !work.is_empty() {
             let mut min_share = f64::INFINITY;
-            for (&slot, cand) in work.iter().zip(cands.iter_mut()) {
+            cands.clear();
+            for &slot in &work {
                 let f = self.flows[slot as usize].as_ref().expect("live slot");
                 let mut share = f.cap;
                 for c in f.claims() {
@@ -532,37 +566,36 @@ impl<T> FluidSystem<T> {
                         share = share.min(residual[ri] / n as f64);
                     }
                 }
-                *cand = share;
+                cands.push(share);
                 min_share = min_share.min(share);
             }
             debug_assert!(min_share.is_finite() && min_share >= 0.0);
-            let mut still = Vec::with_capacity(work.len());
-            let mut still_c = Vec::with_capacity(work.len());
-            frozen.clear();
-            for (slot, cand) in work.drain(..).zip(cands.drain(..)) {
-                if cand <= min_share * (1.0 + 1e-12) {
-                    let f = self.flows[slot as usize].as_ref().expect("live slot");
+            // Freeze every flow at the fair share; compact the rest to the
+            // front of `work`, keeping their ascending-id order.
+            let mut kept = 0;
+            for i in 0..work.len() {
+                let slot = work[i];
+                if cands[i] <= min_share * (1.0 + 1e-12) {
+                    let f = self.flows[slot as usize].as_mut().expect("live slot");
                     for c in f.claims() {
                         let ri = c.0 as usize;
                         residual[ri] = (residual[ri] - min_share).max(0.0);
                         count[ri] -= 1;
                     }
-                    frozen.push(slot);
+                    f.rate = min_share;
                 } else {
-                    still.push(slot);
-                    still_c.push(0.0);
+                    work[kept] = slot;
+                    kept += 1;
                 }
             }
-            debug_assert!(!frozen.is_empty(), "progressive filling made no progress");
-            for &slot in &frozen {
-                self.flows[slot as usize].as_mut().expect("live slot").rate = min_share;
-            }
-            work = still;
-            cands = still_c;
+            debug_assert!(kept < work.len(), "progressive filling made no progress");
+            work.truncate(kept);
         }
         self.scratch_residual = residual;
         self.scratch_count = count;
         self.scratch_stamp = stamps;
+        self.work = work;
+        self.cands = cands;
     }
 
     /// The earliest predicted completion among active flows, given current
@@ -570,8 +603,8 @@ impl<T> FluidSystem<T> {
     pub fn next_completion(&self) -> Option<(SimTime, FlowId)> {
         debug_assert!(!self.dirty, "call recompute() before next_completion()");
         let mut best: Option<(SimTime, FlowId)> = None;
-        for (slot, f) in self.flows.iter().enumerate() {
-            let Some(f) = f else { continue };
+        for &slot in &self.live {
+            let f = self.flows[slot as usize].as_ref().expect("live slot");
             let t = if f.remaining <= EPS_BYTES {
                 self.last_update
             } else if f.rate > 0.0 {
@@ -579,10 +612,7 @@ impl<T> FluidSystem<T> {
             } else {
                 continue; // starved flow: cannot finish until rates change
             };
-            let fid = FlowId {
-                id: f.id,
-                slot: slot as u32,
-            };
+            let fid = FlowId { id: f.id, slot };
             match best {
                 Some((bt, bid)) if (bt, bid) <= (t, fid) => {}
                 _ => best = Some((t, fid)),
@@ -591,22 +621,18 @@ impl<T> FluidSystem<T> {
         best
     }
 
-    /// All flows that have fully drained as of the last `advance_to`.
-    pub fn drained_flows(&self) -> Vec<FlowId> {
-        let mut v: Vec<FlowId> = self
-            .flows
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, f)| {
-                let f = f.as_ref()?;
-                (f.remaining <= EPS_BYTES).then_some(FlowId {
-                    id: f.id,
-                    slot: slot as u32,
-                })
-            })
-            .collect();
-        v.sort_unstable();
-        v
+    /// Replace the contents of `out` with every flow that has fully
+    /// drained as of the last `advance_to`, in `FlowId` (creation) order.
+    /// The caller owns the buffer so repeated calls allocate nothing.
+    pub fn drained_flows(&self, out: &mut Vec<FlowId>) {
+        out.clear();
+        for &slot in &self.live {
+            let f = self.flows[slot as usize].as_ref().expect("live slot");
+            if f.remaining <= EPS_BYTES {
+                out.push(FlowId { id: f.id, slot });
+            }
+        }
+        out.sort_unstable();
     }
 
     /// Current rate of a flow (test/diagnostic).
@@ -631,6 +657,30 @@ mod tests {
 
     fn approx(a: f64, b: f64) {
         assert!((a - b).abs() <= 1e-6 * b.abs().max(1.0), "{a} != {b}");
+    }
+
+    fn drained<T>(s: &FluidSystem<T>) -> Vec<FlowId> {
+        let mut out = Vec::new();
+        s.drained_flows(&mut out);
+        out
+    }
+
+    /// Every live flow as `(handle, state)`, by scanning the whole slab.
+    fn slab_scan<T>(s: &FluidSystem<T>) -> Vec<(FlowId, &FlowState<T>)> {
+        s.flows
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, f)| {
+                let f = f.as_ref()?;
+                Some((
+                    FlowId {
+                        id: f.id,
+                        slot: slot as u32,
+                    },
+                    f,
+                ))
+            })
+            .collect()
     }
 
     #[test]
@@ -687,7 +737,7 @@ mod tests {
         assert_eq!(id, f);
         approx(t.seconds(), 10.0);
         s.advance_to(SimTime::new(10.0));
-        assert_eq!(s.drained_flows(), vec![f]);
+        assert_eq!(drained(&s), vec![f]);
         s.remove_flow(f).unwrap();
         assert_eq!(s.active_flows(), 0);
     }
@@ -892,7 +942,7 @@ mod tests {
         assert_eq!([b.id, c.id, d.id], [1, 2, 3], "ids count creations");
         s.recompute();
         // All three are zero-byte flows due now: ties go to the oldest.
-        assert_eq!(s.drained_flows(), vec![b, c, d]);
+        assert_eq!(drained(&s), vec![b, c, d]);
         assert_eq!(s.next_completion(), Some((SimTime::ZERO, b)));
         s.remove_flow(b);
         s.recompute();
@@ -970,14 +1020,15 @@ mod tests {
         }
 
         /// The tentpole equivalence (DESIGN.md §11): after an arbitrary
-        /// interleaving of arrivals, teardowns, capacity faults, and
+        /// interleaving of arrivals, teardowns, capacity faults, drains
+        /// that complete flows (whose slots the next arrivals reuse), and
         /// incremental recomputes, a from-scratch re-level of the whole
         /// system reproduces every incrementally-maintained rate to 0 ULP.
         #[test]
         fn prop_incremental_matches_scratch_to_0_ulp(
             caps in proptest::collection::vec(1.0f64..100.0, 2..6),
             ops in proptest::collection::vec(
-                (0u8..4, proptest::collection::vec(0usize..6, 1..4), 0.5f64..50.0, 1.0f64..80.0),
+                (0u8..5, proptest::collection::vec(0usize..6, 1..4), 0.5f64..50.0, 1.0f64..80.0),
                 1..40,
             ),
         ) {
@@ -1002,9 +1053,19 @@ mod tests {
                         }
                     }
                     // Capacity fault on some resource.
-                    _ => {
+                    3 => {
                         let r = rids[picks[0] % rids.len()];
                         s.set_capacity(r, *cap);
+                    }
+                    // A longer step at the current rates, then the
+                    // engine's wake: tear down every drained flow.
+                    _ => {
+                        t += bytes / 20.0;
+                        s.advance_to(SimTime::new(t));
+                        for f in drained(&s) {
+                            s.remove_flow(f);
+                            live.retain(|&g| g != f);
+                        }
                     }
                 }
                 // Drain a little and re-level incrementally.
@@ -1022,6 +1083,98 @@ mod tests {
                 .map(|&f| s.rate_of(f).map(f64::to_bits))
                 .collect();
             prop_assert_eq!(incremental, scratch, "incremental vs from-scratch rates differ");
+        }
+
+        /// The live-flow table against a brute-force scan of the slab:
+        /// after random arrivals (some of zero bytes), teardowns that
+        /// recycle slots, drains, wakes that remove drained flows, and
+        /// re-levels, `next_completion`, `drained_flows` and every flow's
+        /// `remaining` equal what a walk over every slab slot gives, to
+        /// the bit.
+        #[test]
+        fn prop_live_table_matches_slab_scan(
+            caps in proptest::collection::vec(1.0f64..100.0, 1..5),
+            ops in proptest::collection::vec(
+                (0u8..5, proptest::collection::vec(0usize..5, 1..4), 0.5f64..50.0, 0.0f64..80.0),
+                1..60,
+            ),
+        ) {
+            let mut s: FluidSystem<usize> = FluidSystem::new();
+            let rids: Vec<ResourceId> = caps.iter().map(|&c| s.add_resource(c)).collect();
+            // Independent model: each live flow's expected remaining bytes.
+            let mut model: Vec<(FlowId, f64)> = Vec::new();
+            let mut now = SimTime::ZERO;
+            for (i, (kind, picks, cap, x)) in ops.iter().enumerate() {
+                match kind {
+                    0 | 1 => {
+                        let mut cl: Vec<ResourceId> =
+                            picks.iter().map(|&c| rids[c % rids.len()]).collect();
+                        cl.sort_by_key(|r| r.0);
+                        cl.dedup();
+                        // Whole bytes below 1 make zero-byte flows.
+                        let bytes = x.floor();
+                        model.push((s.add_flow(&cl, *cap, bytes, i), bytes));
+                    }
+                    2 => {
+                        if !model.is_empty() {
+                            let (f, _) = model.swap_remove(picks[0] % model.len());
+                            prop_assert!(s.remove_flow(f).is_some());
+                        }
+                    }
+                    3 => {
+                        let later = now.after(x / 40.0);
+                        let dt = later - now;
+                        for (f, rem) in &mut model {
+                            let rate = s.rate_of(*f).expect("live flow");
+                            if dt > 0.0 && rate > 0.0 {
+                                *rem = (*rem - rate * dt).max(0.0);
+                            }
+                        }
+                        s.advance_to(later);
+                        now = later;
+                    }
+                    _ => {
+                        for f in drained(&s) {
+                            s.remove_flow(f);
+                            model.retain(|&(g, _)| g != f);
+                        }
+                    }
+                }
+                s.recompute();
+
+                let scan = slab_scan(&s);
+                prop_assert_eq!(s.active_flows(), scan.len());
+                prop_assert_eq!(model.len(), scan.len());
+                for (pos, &slot) in s.live.iter().enumerate() {
+                    let f = s.flows[slot as usize].as_ref().expect("live slot");
+                    prop_assert_eq!(f.live_pos as usize, pos);
+                }
+                for &(f, rem) in &model {
+                    let state = s.live_flow(f).expect("modelled flow is live");
+                    prop_assert_eq!(state.remaining.to_bits(), rem.to_bits());
+                }
+                let mut want_drained: Vec<FlowId> = scan
+                    .iter()
+                    .filter(|(_, f)| f.remaining <= EPS_BYTES)
+                    .map(|&(fid, _)| fid)
+                    .collect();
+                want_drained.sort_unstable();
+                prop_assert_eq!(drained(&s), want_drained);
+                let want_next = scan
+                    .iter()
+                    .filter_map(|&(fid, f)| {
+                        let t = if f.remaining <= EPS_BYTES {
+                            now
+                        } else if f.rate > 0.0 {
+                            now.after(f.remaining / f.rate)
+                        } else {
+                            return None;
+                        };
+                        Some((t, fid))
+                    })
+                    .min();
+                prop_assert_eq!(s.next_completion(), want_next);
+            }
         }
 
         /// Max-min optimality: every flow is bottlenecked — pinned at its

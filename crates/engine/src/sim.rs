@@ -565,6 +565,8 @@ struct SimState<'a> {
     nic_queue: Vec<VecDeque<usize>>,
     nic_busy: Vec<bool>,
     fluid: FluidSystem<FlowToken>,
+    /// `flow_wake`'s buffer for the drained flows (reused, not reallocated).
+    drained: Vec<FlowId>,
     flow_gen: u64,
     barriers: HashMap<u32, BarrierState>,
     sharp_ops: Vec<SharpOpState>,
@@ -688,6 +690,7 @@ impl<'a> SimState<'a> {
             nic_queue: (0..h).map(|_| VecDeque::new()).collect(),
             nic_busy: vec![false; h],
             fluid,
+            drained: Vec::new(),
             flow_gen: 0,
             barriers: HashMap::new(),
             sharp_ops: Vec::new(),
@@ -1467,8 +1470,9 @@ impl<'a> SimState<'a> {
 
     fn flow_wake(&mut self) -> Result<(), SimError> {
         self.fluid.advance_to(self.now);
-        let drained = self.fluid.drained_flows();
-        for fid in drained {
+        self.fluid.drained_flows(&mut self.drained);
+        for i in 0..self.drained.len() {
+            let fid = self.drained[i];
             let Some(token) = self.fluid.remove_flow(fid) else {
                 continue;
             };

@@ -140,6 +140,30 @@ impl From<RunError> for CliError {
     }
 }
 
+/// The flags `cluster_and_spec` reads, shared by every verb that builds
+/// a cluster.
+const CLUSTER_FLAGS: [&str; 3] = ["--cluster", "--nodes", "--ppn"];
+
+/// Reject the first `--flag` in `args` that `verb` does not read: a
+/// misspelt or misplaced option fails with a usage error (exit 2) instead
+/// of silently running the default. `shared` and `own` together list
+/// every flag the verb's handler looks up.
+fn accept_flags(
+    verb: &str,
+    args: &[String],
+    shared: &[&str],
+    own: &[&str],
+) -> Result<(), CliError> {
+    match args.iter().find(|a| {
+        a.starts_with("--") && !shared.contains(&a.as_str()) && !own.contains(&a.as_str())
+    }) {
+        Some(flag) => Err(CliError::Usage(format!(
+            "`dpml {verb}` does not take `{flag}`; try `dpml help`"
+        ))),
+        None => Ok(()),
+    }
+}
+
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
@@ -227,6 +251,7 @@ fn cmd_info() {
 }
 
 fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
+    accept_flags("simulate", args, &CLUSTER_FLAGS, &["--alg", "--bytes"])?;
     let (preset, spec) = cluster_and_spec(args)?;
     let alg = parse_algorithm(&arg_value(args, "--alg").ok_or("--alg required".to_string())?)?;
     let bytes = parse_bytes(&arg_value(args, "--bytes").ok_or("--bytes required".to_string())?)?;
@@ -261,6 +286,12 @@ fn cmd_simulate(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_profile(args: &[String]) -> Result<(), CliError> {
+    accept_flags(
+        "profile",
+        args,
+        &CLUSTER_FLAGS,
+        &["--alg", "--bytes", "--sweep"],
+    )?;
     let (preset, spec) = cluster_and_spec(args)?;
     let alg = parse_algorithm(&arg_value(args, "--alg").unwrap_or_else(|| "dpml:4".into()))?;
 
@@ -355,6 +386,7 @@ fn cmd_profile(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
+    accept_flags("sweep", args, &CLUSTER_FLAGS, &["--alg"])?;
     let (preset, spec) = cluster_and_spec(args)?;
     let alg_specs = arg_values(args, "--alg");
     if alg_specs.is_empty() {
@@ -423,6 +455,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), CliError> {
+    accept_flags("compare", args, &CLUSTER_FLAGS, &["--bytes"])?;
     let (preset, spec) = cluster_and_spec(args)?;
     let bytes = parse_bytes(&arg_value(args, "--bytes").ok_or("--bytes required")?)?;
     println!(
@@ -445,6 +478,7 @@ fn cmd_compare(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_tune(args: &[String]) -> Result<(), CliError> {
+    accept_flags("tune", args, &CLUSTER_FLAGS, &["--out"])?;
     let (preset, spec) = cluster_and_spec(args)?;
     let sizes: Vec<u64> = (2..=20).map(|e| 1u64 << e).collect();
     let cands = default_candidates(&preset, &spec);
@@ -474,6 +508,7 @@ fn cmd_tune(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_app(args: &[String]) -> Result<(), CliError> {
+    accept_flags("app", args, &CLUSTER_FLAGS, &["--app"])?;
     let (preset, spec) = cluster_and_spec(args)?;
     let app = arg_value(args, "--app").ok_or("--app hpcg|miniamr required")?;
     match app.as_str() {
@@ -538,6 +573,19 @@ fn cmd_app(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_faults(args: &[String]) -> Result<(), CliError> {
+    accept_flags(
+        "faults",
+        args,
+        &CLUSTER_FLAGS,
+        &[
+            "--alg",
+            "--bytes",
+            "--intensity",
+            "--seed",
+            "--flaky-sharp",
+            "--deny-sharp",
+        ],
+    )?;
     let (preset, spec) = cluster_and_spec(args)?;
     let alg = parse_algorithm(&arg_value(args, "--alg").ok_or("--alg required")?)?;
     let bytes = parse_bytes(&arg_value(args, "--bytes").ok_or("--bytes required")?)?;
@@ -601,6 +649,18 @@ fn cmd_faults(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_recover(args: &[String]) -> Result<(), CliError> {
+    accept_flags(
+        "recover",
+        args,
+        &CLUSTER_FLAGS,
+        &[
+            "--leaders",
+            "--bytes",
+            "--crash-rank",
+            "--crash-at-us",
+            "--detect-us",
+        ],
+    )?;
     let (preset, spec) = cluster_and_spec(args)?;
     let leaders: u32 = arg_value(args, "--leaders")
         .map(|v| v.parse().map_err(|e| format!("bad --leaders: {e}")))
@@ -701,6 +761,20 @@ fn cmd_recover(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_integrity(args: &[String]) -> Result<(), CliError> {
+    accept_flags(
+        "integrity",
+        args,
+        &CLUSTER_FLAGS,
+        &[
+            "--alg",
+            "--bytes",
+            "--corruption",
+            "--drop",
+            "--shm-flip",
+            "--seed",
+            "--budget",
+        ],
+    )?;
     let (preset, spec) = cluster_and_spec(args)?;
     let alg = parse_algorithm(&arg_value(args, "--alg").unwrap_or_else(|| "dpml:4".into()))?;
     let bytes = parse_bytes(&arg_value(args, "--bytes").unwrap_or_else(|| "256K".into()))?;
@@ -799,7 +873,26 @@ fn cmd_integrity(args: &[String]) -> Result<(), CliError> {
     }
 }
 
+/// Every flag `dpml serve` reads.
+const SERVE_FLAGS: [&str; 14] = [
+    "--addr",
+    "--workers",
+    "--queue",
+    "--client-cap",
+    "--cache",
+    "--max-retries",
+    "--journal",
+    "--watchdog-preset",
+    "--sample-interval",
+    "--postmortem-dir",
+    "--max-postmortems",
+    "--checkpoint-interval",
+    "--checkpoint-dir",
+    "--journal-max-bytes",
+];
+
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
+    accept_flags("serve", args, &[], &SERVE_FLAGS)?;
     let mut cfg = ServeConfig {
         addr: arg_value(args, "--addr").unwrap_or_else(|| "127.0.0.1:7077".into()),
         ..ServeConfig::default()
@@ -870,6 +963,7 @@ fn telemetry_client(args: &[String]) -> Result<dpml::serve::Client, CliError> {
 }
 
 fn cmd_top(args: &[String]) -> Result<(), CliError> {
+    accept_flags("top", args, &[], &["--addr", "--interval", "--frames"])?;
     let interval_ms: u64 = arg_value(args, "--interval")
         .map(|v| v.parse().map_err(|e| format!("bad --interval: {e}")))
         .transpose()?
@@ -904,6 +998,7 @@ fn cmd_top(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_metrics(args: &[String]) -> Result<(), CliError> {
+    accept_flags("metrics", args, &[], &["--addr"])?;
     let mut client = telemetry_client(args)?;
     let text = client
         .metrics()
@@ -957,6 +1052,19 @@ fn install_terminate_monitor(_handle: &dpml::serve::ServerHandle) {}
 fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
     let verb = args.first().map(String::as_str).unwrap_or("campaign");
     let rest = if args.is_empty() { args } else { &args[1..] };
+    let own: &[&str] = match verb {
+        "campaign" => &["--seed", "--budget", "--random", "--postmortem-dir"],
+        "serve" => &["--seed", "--iterations"],
+        "shrink" => &["--seed"],
+        "mine" => &["--seed", "--dir", "--budget", "--max", "--postmortem-dir"],
+        "replay" => &["--dir"],
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown chaos verb `{other}`; try campaign|serve|shrink|mine|replay"
+            )))
+        }
+    };
+    accept_flags(&format!("chaos {verb}"), rest, &[], own)?;
     let seed: u64 = arg_value(rest, "--seed")
         .map(|v| v.parse().map_err(|e| format!("bad --seed: {e}")))
         .transpose()?
@@ -1122,9 +1230,7 @@ fn cmd_chaos(args: &[String]) -> Result<(), CliError> {
                 )))
             }
         }
-        other => Err(CliError::Usage(format!(
-            "unknown chaos verb `{other}`; try campaign|serve|shrink|mine|replay"
-        ))),
+        _ => unreachable!("unknown chaos verbs are rejected above"),
     }
 }
 
